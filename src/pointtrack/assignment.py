@@ -1,23 +1,32 @@
-"""Exact minimum-cost bipartite matching via matrix reduction.
+"""Exact minimum-cost bipartite matching.
 
-The solver follows the classical staging of the Hungarian method: subtract
-each row's minimum, subtract each column's minimum, then repeatedly run the
-optimality test — cover every zero entry with a minimum number of full
-rows/columns — and, while the cover is smaller than the matrix dimension,
-shift the zero pattern by the smallest uncovered entry. Once a complete
-assignment exists on zero entries it is optimal for the original matrix.
+``solve`` is a shortest-augmenting-path solver (Jonker & Volgenant 1987, in
+the rectangular form of Crouse 2016), O(n^3) for an n x n matrix. Column
+reduction seeds the dual variables ``u``, ``v`` and a partial matching;
+each row it leaves free is then matched along a shortest augmenting path,
+found by Dijkstra on the reduced costs ``c - u - v``. Rectangular inputs are
+padded to square with a sentinel cost and the padded pairs are stripped
+from the result.
 
-The minimum line cover is computed exactly: a maximum matching on the zero
-entries followed by the König alternating-reachability marking. Rectangular
-inputs are padded to square with a sentinel cost and the padded pairs are
-stripped from the result.
+Ties are broken deterministically: among equal-cost optima, the pairing
+whose (row, column) list sorted by row is lexicographically smallest wins.
+By complementary slackness the optimal assignments are exactly the perfect
+matchings on the tight edges (``c - u - v <= EPS``) of the final duals, so
+``solve`` extracts the lexicographically smallest of those in one
+alternating-path pass.
+
+The staged Hungarian functions follow the paper's worked trace: subtract
+each row's minimum (``reduce_rows``) and each column's minimum
+(``reduce_cols``), cover every zero with the fewest full rows and columns
+(``min_line_cover``, a maximum zero matching plus König's marking), and
+shift the zero pattern by the smallest uncovered entry (``shift_zeros``)
+until the cover is complete. They stay public for that trace; ``solve``
+does not use them.
 
 ``brute_force_solve`` enumerates every injective assignment and is kept as
-an independent verification oracle for the reduction-based solver.
+an independent verification oracle.
 
-All operations are pure; input matrices are never modified. Ties are broken
-deterministically: among equal-cost optima, the pairing whose (row, column)
-list sorted by row is lexicographically smallest wins.
+All operations are pure; input matrices are never modified.
 """
 
 from __future__ import annotations
@@ -186,69 +195,168 @@ def shift_zeros(reduced: CostMatrix, cover: tuple[set[int], set[int]]) -> CostMa
     return CostMatrix(v)
 
 
-def _perfect_matching_exists(allowed: list[list[int]], dim: int) -> bool:
-    """True when a perfect matching exists with row r restricted to allowed[r]."""
-    row_of_col = [-1] * dim
+def _column_reduction(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Initial duals and partial matching (Jonker & Volgenant's column reduction).
 
-    def augment(row: int, visited: list[bool]) -> bool:
-        for col in allowed[row]:
-            if visited[col]:
+    ``v`` is the column minima and ``u`` is zero, so every entry's reduced
+    cost ``c - u - v`` is nonnegative. Columns are taken in ascending order
+    and each goes to its first minimum row while that row is still free;
+    every such pair has zero reduced cost.
+    """
+    dim = c.shape[0]
+    v = c.min(axis=0)
+    rows, cols = np.unique(c.argmin(axis=0), return_index=True)
+    col_of_row = np.full(dim, -1)
+    row_of_col = np.full(dim, -1)
+    col_of_row[rows] = cols
+    row_of_col[cols] = rows
+    return np.zeros(dim), v, col_of_row, row_of_col
+
+
+def _augment(
+    c: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    col_of_row: np.ndarray,
+    row_of_col: np.ndarray,
+    start: int,
+) -> None:
+    """Match the free row ``start`` along a shortest augmenting path, in place.
+
+    Dijkstra over the reduced costs ``c - u - v`` grows a tree of alternating
+    paths from ``start`` until it settles a free column; the duals are then
+    shifted so every edge of the tree stays tight and the matching is flipped
+    along the path (Crouse 2016, Algorithm 1). Duals stay feasible and every
+    matched pair keeps zero reduced cost.
+    """
+    dim = c.shape[0]
+    dist = np.full(dim, np.inf)  # tentative path length to each column
+    unsettled = np.ones(dim, dtype=bool)
+    via = np.full(dim, -1)  # row preceding each column on its shortest path
+    free_cols = np.flatnonzero(row_of_col < 0)
+    rows = []
+    row, length = start, 0.0
+    while True:
+        rows.append(row)
+        reach = c[row] - v
+        reach += length - u[row]
+        better = reach < dist
+        better &= unsettled
+        np.copyto(dist, reach, where=better)
+        via[better] = row
+        open_dist = np.where(unsettled, dist, np.inf)
+        col = int(open_dist.argmin())
+        length = float(open_dist[col])
+        if row_of_col[col] >= 0:
+            # Prefer a free column among the nearest: the path ends there.
+            ties = free_cols[open_dist[free_cols] == length]
+            if ties.size:
+                col = int(ties[0])
+        unsettled[col] = False
+        if row_of_col[col] < 0:
+            break
+        row = int(row_of_col[col])
+
+    tree_rows = np.array(rows[1:], dtype=int)
+    u[start] += length
+    u[tree_rows] += length - dist[col_of_row[tree_rows]]
+    settled = ~unsettled
+    v[settled] -= length - dist[settled]
+    while True:
+        row = int(via[col])
+        row_of_col[col] = row
+        col_of_row[row], col = col, int(col_of_row[row])
+        if row == start:
+            break
+
+
+def _alternating_path(
+    adjacency: list[list[int]],
+    row_of_col: list[int],
+    start: int,
+    taken: int,
+    target: int,
+    fixed_below: int,
+) -> list[tuple[int, int]] | None:
+    """Re-seat ``start`` and rows after ``fixed_below`` so ``target`` is used.
+
+    Depth-first search over tight edges, with an explicit stack, for an
+    alternating path from ``start`` (which gives up column ``taken``) to the
+    column ``target``. Only rows greater than ``fixed_below`` may move.
+    Returns the (row, new column) moves along the path, or None.
+    """
+    visited = {taken}
+    stack = [(start, iter(adjacency[start]))]
+    moves_to: list[int] = []  # the column each stacked row moves to
+    while stack:
+        for col in stack[-1][1]:
+            if col in visited:
                 continue
-            visited[col] = True
-            if row_of_col[col] < 0 or augment(row_of_col[col], visited):
-                row_of_col[col] = row
-                return True
-        return False
+            if col == target:
+                return [(row, to) for (row, _), to in zip(stack, moves_to + [col])]
+            owner = row_of_col[col]
+            if owner <= fixed_below:
+                continue
+            visited.add(col)
+            moves_to.append(col)
+            stack.append((owner, iter(adjacency[owner])))
+            break
+        else:
+            stack.pop()
+            if moves_to:
+                moves_to.pop()
+    return None
 
-    for row in range(dim):
-        if not augment(row, [False] * dim):
-            return False
-    return True
 
+def _lex_min_tight_matching(
+    tight: np.ndarray,
+    col_of_row: np.ndarray,
+    row_of_col: np.ndarray,
+    n_rows: int,
+    n_cols: int,
+) -> dict[int, int]:
+    """Lexicographically smallest perfect matching on the tight edges.
 
-def _lex_min_zero_matching(zeros: np.ndarray, n_rows: int, n_cols: int) -> dict[int, int]:
-    """Lexicographically smallest complete matching on a square zero pattern.
-
-    Rows 0..n_rows-1 are the real rows; columns >= n_cols are padding and
-    count as "unmatched", so a real column is always preferred over padding.
-    Each real row is fixed, in ascending order, to the smallest column that
-    still leaves the remaining rows completable; feasibility is checked by
-    running a matching with the committed rows restricted to their choice.
+    Starts from the perfect matching (col_of_row, row_of_col) on ``tight``.
+    Real rows are fixed in ascending order; each moves to the smallest real
+    tight column below its current one that an alternating path through
+    later rows can free, handing its current column down the path. Columns
+    >= n_cols are padding: any real column is preferred to them, and since
+    they are identical, which one a row holds does not matter.
 
     Returns the {real row: real column} pairs of the selected matching.
     """
-    dim = zeros.shape[0]
-    adjacency = [np.flatnonzero(zeros[r]).tolist() for r in range(dim)]
-    allowed: list[list[int]] = [list(cols) for cols in adjacency]
-    chosen: dict[int, int] = {}
-
+    tight_rows, tight_cols = np.nonzero(tight)
+    ends = np.searchsorted(tight_rows, np.arange(1, tight.shape[0] + 1)).tolist()
+    flat = tight_cols.tolist()
+    adjacency = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    col_of, row_of = col_of_row.tolist(), row_of_col.tolist()
     for row in range(n_rows):
-        picked = None
+        current = col_of[row]
         for col in adjacency[row]:
-            if col >= n_cols:
-                break  # adjacency is ascending; padding columns come last
-            allowed[row] = [col]
-            if _perfect_matching_exists(allowed, dim):
-                picked = col
+            if col >= min(current, n_cols):
                 break
-        if picked is None:
-            # Row stays unmatched: commit it to padding columns only.
-            allowed[row] = [c for c in adjacency[row] if c >= n_cols]
-            if not _perfect_matching_exists(allowed, dim):
-                raise InternalError("zero matching lost completeness during extraction")
-        else:
-            chosen[row] = picked
-    return chosen
+            owner = row_of[col]
+            if owner < row:
+                continue
+            moves = _alternating_path(adjacency, row_of, owner, col, current, row)
+            if moves is not None:
+                for r, c in [(row, col)] + moves:
+                    col_of[r] = c
+                    row_of[c] = r
+                break
+    return {r: col_of[r] for r in range(n_rows) if col_of[r] < n_cols}
 
 
 def solve(cost: CostMatrix) -> Assignment:
     """Minimum-cost injective assignment of rows to columns.
 
-    Rectangular matrices are padded to square with (max entry + 1) so the
-    square reduction procedure applies unchanged; pairs touching padding are
-    dropped afterwards, which preserves the optimum over injective maps.
-    The reductions operate on a working copy; ``total_cost`` is accumulated
-    from the original matrix.
+    Rectangular matrices are padded to square with (max entry + 1); pairs
+    touching padding are dropped afterwards, which preserves the optimum
+    over injective maps. Column reduction seeds the duals and a partial
+    matching, one shortest augmenting path per remaining free row completes
+    it, and the lexicographically smallest perfect matching on the final
+    tight edges is returned. ``total_cost`` is summed from the input matrix.
 
     Raises DimensionError when either dimension is zero.
     """
@@ -264,18 +372,12 @@ def solve(cost: CostMatrix) -> Assignment:
         padded = np.full((dim, dim), pad_cost)
         padded[:n_rows, :n_cols] = cost.values
 
-    work = reduce_cols(reduce_rows(CostMatrix(padded)))
-    iterations = 0
-    while True:
-        covered_rows, covered_cols = min_line_cover(work)
-        if len(covered_rows) + len(covered_cols) >= dim:
-            break
-        work = shift_zeros(work, (covered_rows, covered_cols))
-        iterations += 1
-        if iterations > dim * dim:
-            raise InternalError("cover iteration bound exceeded")
+    u, v, col_of_row, row_of_col = _column_reduction(padded)
+    for row in np.flatnonzero(col_of_row < 0).tolist():
+        _augment(padded, u, v, col_of_row, row_of_col, row)
 
-    chosen = _lex_min_zero_matching(_zero_mask(work.values), n_rows, n_cols)
+    tight = padded - u[:, None] - v[None, :] <= EPS
+    chosen = _lex_min_tight_matching(tight, col_of_row, row_of_col, n_rows, n_cols)
     pairs = frozenset(chosen.items())
     total = float(sum(cost.values[r, c] for r, c in chosen.items()))
     return Assignment(

@@ -16,6 +16,11 @@ Track file -- one record per line,
 
 Ground-truth file -- ``frame,gt_id,x,y``, same conventions.
 
+Positions (x, y in every file) and track velocities (vx, vy) must lie in
+[-COORD_LIMIT, COORD_LIMIT]. The bound lies far beyond any image and keeps
+squared distances between points, and the filter arithmetic on them,
+finite.
+
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
     Keys are exactly the TrackerConfig and ScenarioSpec field names;
@@ -78,6 +83,10 @@ PALETTE = (
 
 TRAIL_LENGTH = 20
 
+# Largest accepted |coordinate| or |velocity| in data files, in pixels
+# (per frame for velocities).
+COORD_LIMIT = 1e9
+
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
@@ -100,6 +109,15 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
+def _parse_coord(token: str, line_no: int, what: str) -> float:
+    value = _parse_float(token, line_no, what)
+    if abs(value) > COORD_LIMIT:
+        raise ParseError(
+            f"{what} must lie within +-{COORD_LIMIT:g}, got {value:g}", line=line_no
+        )
+    return value
+
+
 def _data_lines(text: str) -> Iterable[tuple[int, str]]:
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -119,8 +137,8 @@ def parse_detections(text: str) -> dict[int, list[Detection]]:
         frame = _parse_int(fields[0], line_no, "frame")
         if frame < 1:
             raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-        x = _parse_float(fields[1], line_no, "x")
-        y = _parse_float(fields[2], line_no, "y")
+        x = _parse_coord(fields[1], line_no, "x")
+        y = _parse_coord(fields[2], line_no, "y")
         confidence = 1.0
         if len(fields) == 4:
             confidence = _parse_float(fields[3], line_no, "confidence")
@@ -147,6 +165,7 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     status_by_char = {s.value: s for s in (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED)}
     source_by_char = {s.value: s for s in RecordSource}
     grouped: dict[int, list[TrackRecord]] = {}
+    seen_ids: dict[int, set[int]] = {}
     for line_no, line in _data_lines(text):
         fields = line.split(",")
         if len(fields) != 8:
@@ -160,20 +179,22 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
         track_id = _parse_int(fields[1], line_no, "track_id")
         if track_id < 1:
             raise ParseError(f"track_id must be >= 1, got {track_id}", line=line_no)
-        x = _parse_float(fields[2], line_no, "x")
-        y = _parse_float(fields[3], line_no, "y")
-        vx = _parse_float(fields[4], line_no, "vx")
-        vy = _parse_float(fields[5], line_no, "vy")
+        x = _parse_coord(fields[2], line_no, "x")
+        y = _parse_coord(fields[3], line_no, "y")
+        vx = _parse_coord(fields[4], line_no, "vx")
+        vy = _parse_coord(fields[5], line_no, "vy")
         status = status_by_char.get(fields[6].strip())
         if status is None:
             raise ParseError(f"status must be T or C, got {fields[6]!r}", line=line_no)
         source = source_by_char.get(fields[7].strip())
         if source is None:
             raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
-        if any(r.track_id == track_id for r in grouped.get(frame, [])):
+        ids = seen_ids.setdefault(frame, set())
+        if track_id in ids:
             raise ParseError(
                 f"track {track_id} appears twice in frame {frame}", line=line_no
             )
+        ids.add(track_id)
         grouped.setdefault(frame, []).append(
             TrackRecord(track_id, x, y, vx, vy, status, source)
         )
@@ -207,8 +228,8 @@ def parse_ground_truth(text: str) -> GroundTruth:
         if frame < 1:
             raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
         gt_id = _parse_int(fields[1], line_no, "gt_id")
-        x = _parse_float(fields[2], line_no, "x")
-        y = _parse_float(fields[3], line_no, "y")
+        x = _parse_coord(fields[2], line_no, "x")
+        y = _parse_coord(fields[3], line_no, "y")
         frames.setdefault(frame, []).append((gt_id, x, y))
     n_frames = max(frames) if frames else 0
     return GroundTruth(n_frames=n_frames, frames=dict(sorted(frames.items())))

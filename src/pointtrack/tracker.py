@@ -15,7 +15,7 @@ never reused, so identity is conserved for as long as a track lives.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -99,8 +99,7 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
     hit_streak: int = 0
     miss_streak: int = 0
-    age: int = 0
-    history: list[tuple[int, float, float, RecordSource]] = field(default_factory=list)
+    source: RecordSource = RecordSource.MEASURED  # of the latest reported position
 
 
 def build_cost_matrix(
@@ -177,7 +176,6 @@ class Tracker:
         # 1. Predict every live track.
         for track in self.tracks:
             track.state = kfilter.predict(track.state, self.model)
-            track.age += 1
         by_id = {t.id: t for t in self.tracks}
         ordered_ids = sorted(by_id)
 
@@ -209,9 +207,7 @@ class Tracker:
             track.miss_streak = 0
             if track.status is TrackStatus.TENTATIVE and track.hit_streak >= cfg.confirm_hits:
                 track.status = TrackStatus.CONFIRMED
-            track.history.append(
-                (frame, float(track.state.x[0]), float(track.state.x[1]), RecordSource.MEASURED)
-            )
+            track.source = RecordSource.MEASURED
 
         # 4. Coast or kill unmatched tracks.
         for track in unmatched_tracks:
@@ -221,9 +217,7 @@ class Tracker:
                 track.status = TrackStatus.DEAD
                 died.append(track.id)
             else:
-                track.history.append(
-                    (frame, float(track.state.x[0]), float(track.state.x[1]), RecordSource.COASTED)
-                )
+                track.source = RecordSource.COASTED
 
         # 5. Every leftover detection births a Tentative track.
         for det in unmatched_dets:
@@ -235,7 +229,6 @@ class Tracker:
             self._next_id += 1
             if track.hit_streak >= cfg.confirm_hits:
                 track.status = TrackStatus.CONFIRMED
-            track.history.append((frame, det.x, det.y, RecordSource.MEASURED))
             self.tracks.append(track)
             born.append(track.id)
 
@@ -249,7 +242,7 @@ class Tracker:
                 vx=float(t.state.x[2]),
                 vy=float(t.state.x[3]),
                 status=t.status,
-                source=t.history[-1][3],
+                source=t.source,
             )
             for t in sorted(self.tracks, key=lambda t: t.id)
         ]

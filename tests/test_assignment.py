@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pointtrack.assignment import (
     BRUTE_FORCE_CAP,
     CostMatrix,
+    _max_zero_matching,
     brute_force_solve,
     min_line_cover,
     reduce_cols,
@@ -29,7 +30,8 @@ def cost_matrices(draw, max_dim=7, integral=True):
     n = draw(st.integers(1, max_dim))
     m = draw(st.integers(1, max_dim))
     if integral:
-        elements = st.integers(0, 100).map(float)
+        # 0-3 makes tied optima common, which exercises the tie-break.
+        elements = st.integers(0, draw(st.sampled_from((100, 3)))).map(float)
     else:
         elements = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False, width=64)
     rows = draw(
@@ -162,6 +164,42 @@ class TestSolve:
         cols = [c for _, c in result.pairs]
         assert len(result.pairs) == 20
         assert len(set(rows)) == 20 and len(set(cols)) == 20
+
+
+def _staged_reference_total(cost):
+    """Optimal total cost by the staged Hungarian method, for any size."""
+    n_rows, n_cols = cost.n_rows, cost.n_cols
+    dim = max(n_rows, n_cols)
+    padded = np.full((dim, dim), cost.values.max() + 1.0)
+    padded[:n_rows, :n_cols] = cost.values
+    work = reduce_cols(reduce_rows(CostMatrix(padded)))
+    while True:
+        covered_rows, covered_cols = min_line_cover(work)
+        if len(covered_rows) + len(covered_cols) >= dim:
+            break
+        work = shift_zeros(work, (covered_rows, covered_cols))
+    col_of_row, _ = _max_zero_matching(np.abs(work.values) <= 1e-9)
+    assert -1 not in col_of_row
+    return sum(
+        cost.values[r, c] for r, c in enumerate(col_of_row) if r < n_rows and c < n_cols
+    )
+
+
+class TestLargeMatrices:
+    """Sizes beyond the brute-force oracle, checked against the staged method."""
+
+    @pytest.mark.parametrize("shape", [(20, 20), (40, 40), (24, 37), (37, 24)])
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_total_cost_matches_staged_reference(self, shape, integral):
+        rng = np.random.default_rng(sum(shape))
+        if integral:
+            values = rng.integers(0, 4, size=shape).astype(float)
+        else:
+            values = rng.random(shape) * 100.0
+        cost = CostMatrix(values)
+        result = solve(cost)
+        assert len(result.pairs) == min(shape)
+        assert abs(result.total_cost - _staged_reference_total(cost)) <= 1e-9
 
 
 class TestBruteForce:

@@ -58,6 +58,14 @@ class TestTrack:
         err = capsys.readouterr().err
         assert "bad.csv" in err and "line 2" in err
 
+    def test_out_of_range_coordinate_exits_two(self, tmp_path, capsys):
+        dets = tmp_path / "huge.csv"
+        dets.write_text("1,1e200,5\n2,0,6\n")
+        assert main(["track", str(dets), str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "huge.csv" in err and "line 1" in err
+        assert "Traceback" not in err
+
     def test_bad_config_key_is_input_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("shenanigans = 1\n")
@@ -149,6 +157,16 @@ class TestEval:
         assert main(["eval", str(tracks), str(gt)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_out_of_range_track_coordinate_exits_two(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        tracks = tmp_path / "huge.csv"
+        gt.write_text("1,1,0.0,0.0\n")
+        tracks.write_text("1,1,1e200,0.0,0.0,0.0,C,M\n")
+        assert main(["eval", str(tracks), str(gt)]) == 2
+        err = capsys.readouterr().err
+        assert "huge.csv" in err and "line 1" in err
+        assert "Traceback" not in err
 
     def test_tracks_past_gt_horizon_score_as_false_positives(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"

@@ -102,6 +102,8 @@ class TestParseDetections:
             ("1,1,2,-0.1", 1),
             ("1,inf,2", 1),
             ("1,1,nan", 1),
+            ("1,1e200,2", 1),
+            ("1,1,1\n2,1,-1.5e9", 2),
             ("1,1,1\n2,oops,2", 2),
         ],
     )
@@ -159,6 +161,9 @@ class TestTrackFile:
             "1,0,0,0,0,0,C,M",
             "1,1,0,0,0,0,C",
             "1,1,abc,0,0,0,C,M",
+            "1,1,0,1e200,0,0,C,M",
+            "1,1,0,0,-2e9,0,C,M",
+            "1,1,0,0,0,1e10,C,M",
         ],
     )
     def test_malformed_records_located(self, text):
@@ -206,6 +211,11 @@ class TestGroundTruthFile:
     def test_malformed_located(self):
         with pytest.raises(ParseError) as info:
             parse_ground_truth("1,1,2,3\n1,x,2,3")
+        assert info.value.line == 2
+
+    def test_out_of_range_coordinate_located(self):
+        with pytest.raises(ParseError) as info:
+            parse_ground_truth("1,1,2,3\n1,2,2,1e200")
         assert info.value.line == 2
 
 
