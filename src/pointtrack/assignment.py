@@ -23,6 +23,10 @@ shift the zero pattern by the smallest uncovered entry (``shift_zeros``)
 until the cover is complete. They stay public for that trace; ``solve``
 does not use them.
 
+One iterative augmenting-path search (``_augmenting_path``) serves both
+0/1 matchings: the maximum zero matching behind ``min_line_cover`` and
+``solve``'s lex-min pass over the tight edges.
+
 ``brute_force_solve`` enumerates every injective assignment and is kept as
 an independent verification oracle.
 
@@ -103,8 +107,52 @@ def reduce_cols(cost: CostMatrix) -> CostMatrix:
     return CostMatrix(v - v.min(axis=0, keepdims=True))
 
 
-def _zero_mask(values: np.ndarray) -> np.ndarray:
-    return np.abs(values) <= EPS
+def _adjacency(mask: np.ndarray) -> list[list[int]]:
+    """Column indices of each row's True entries, ascending."""
+    rows, cols = np.nonzero(mask)
+    ends = np.searchsorted(rows, np.arange(1, mask.shape[0] + 1)).tolist()
+    flat = cols.tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _augmenting_path(
+    adjacency: list[list[int]],
+    row_of_col: list[int],
+    start: int,
+    fixed_below: int = -1,
+) -> list[tuple[int, int]] | None:
+    """Match row ``start`` to a free column along an alternating path, in place.
+
+    Kuhn's depth-first search, with an explicit stack so its depth is not
+    bounded by the recursion limit. Columns are tried in adjacency order and
+    the path ends at the first free column (``row_of_col`` -1) reached. Rows
+    <= ``fixed_below`` keep their columns. On success ``row_of_col`` is
+    flipped along the path and the (row, new column) moves are returned;
+    otherwise nothing changes and None is returned.
+    """
+    visited: set[int] = set()
+    stack = [(start, iter(adjacency[start]))]
+    moves_to: list[int] = []  # the column each stacked row moves to
+    while stack:
+        for col in stack[-1][1]:
+            if col in visited:
+                continue
+            visited.add(col)
+            owner = row_of_col[col]
+            if owner < 0:
+                moves = [(row, to) for (row, _), to in zip(stack, moves_to + [col])]
+                for row, to in moves:
+                    row_of_col[to] = row
+                return moves
+            if owner > fixed_below:
+                moves_to.append(col)
+                stack.append((owner, iter(adjacency[owner])))
+                break
+        else:
+            stack.pop()
+            if moves_to:
+                moves_to.pop()
+    return None
 
 
 def _max_zero_matching(zeros: np.ndarray) -> tuple[list[int], list[int]]:
@@ -115,23 +163,12 @@ def _max_zero_matching(zeros: np.ndarray) -> tuple[list[int], list[int]]:
     deterministic.
     """
     n_rows, n_cols = zeros.shape
-    adjacency = [np.flatnonzero(zeros[r]).tolist() for r in range(n_rows)]
+    adjacency = _adjacency(zeros)
     col_of_row = [-1] * n_rows
     row_of_col = [-1] * n_cols
-
-    def augment(row: int, visited: list[bool]) -> bool:
-        for col in adjacency[row]:
-            if visited[col]:
-                continue
-            visited[col] = True
-            if row_of_col[col] < 0 or augment(row_of_col[col], visited):
-                row_of_col[col] = row
-                col_of_row[row] = col
-                return True
-        return False
-
     for row in range(n_rows):
-        augment(row, [False] * n_cols)
+        for r, c in _augmenting_path(adjacency, row_of_col, row) or ():
+            col_of_row[r] = c
     return col_of_row, row_of_col
 
 
@@ -144,8 +181,9 @@ def min_line_cover(reduced: CostMatrix) -> tuple[set[int], set[int]]:
     edges. Covered rows are the unmarked ones, covered columns the marked
     ones; the cover size equals the matching size and is minimum.
     """
-    zeros = _zero_mask(reduced.values)
-    n_rows, n_cols = zeros.shape
+    zeros = np.abs(reduced.values) <= EPS
+    n_rows = zeros.shape[0]
+    adjacency = _adjacency(zeros)
     col_of_row, row_of_col = _max_zero_matching(zeros)
 
     marked_rows = {r for r in range(n_rows) if col_of_row[r] < 0}
@@ -153,8 +191,7 @@ def min_line_cover(reduced: CostMatrix) -> tuple[set[int], set[int]]:
     frontier = list(marked_rows)
     while frontier:
         row = frontier.pop()
-        for col in np.flatnonzero(zeros[row]):
-            col = int(col)
+        for col in adjacency[row]:
             if col in marked_cols:
                 continue
             marked_cols.add(col)
@@ -193,24 +230,6 @@ def shift_zeros(reduced: CostMatrix, cover: tuple[set[int], set[int]]) -> CostMa
     v[uncovered] -= shift
     v[doubly] += shift
     return CostMatrix(v)
-
-
-def _column_reduction(c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Initial duals and partial matching (Jonker & Volgenant's column reduction).
-
-    ``v`` is the column minima and ``u`` is zero, so every entry's reduced
-    cost ``c - u - v`` is nonnegative. Columns are taken in ascending order
-    and each goes to its first minimum row while that row is still free;
-    every such pair has zero reduced cost.
-    """
-    dim = c.shape[0]
-    v = c.min(axis=0)
-    rows, cols = np.unique(c.argmin(axis=0), return_index=True)
-    col_of_row = np.full(dim, -1)
-    row_of_col = np.full(dim, -1)
-    col_of_row[rows] = cols
-    row_of_col[cols] = rows
-    return np.zeros(dim), v, col_of_row, row_of_col
 
 
 def _augment(
@@ -270,44 +289,6 @@ def _augment(
             break
 
 
-def _alternating_path(
-    adjacency: list[list[int]],
-    row_of_col: list[int],
-    start: int,
-    taken: int,
-    target: int,
-    fixed_below: int,
-) -> list[tuple[int, int]] | None:
-    """Re-seat ``start`` and rows after ``fixed_below`` so ``target`` is used.
-
-    Depth-first search over tight edges, with an explicit stack, for an
-    alternating path from ``start`` (which gives up column ``taken``) to the
-    column ``target``. Only rows greater than ``fixed_below`` may move.
-    Returns the (row, new column) moves along the path, or None.
-    """
-    visited = {taken}
-    stack = [(start, iter(adjacency[start]))]
-    moves_to: list[int] = []  # the column each stacked row moves to
-    while stack:
-        for col in stack[-1][1]:
-            if col in visited:
-                continue
-            if col == target:
-                return [(row, to) for (row, _), to in zip(stack, moves_to + [col])]
-            owner = row_of_col[col]
-            if owner <= fixed_below:
-                continue
-            visited.add(col)
-            moves_to.append(col)
-            stack.append((owner, iter(adjacency[owner])))
-            break
-        else:
-            stack.pop()
-            if moves_to:
-                moves_to.pop()
-    return None
-
-
 def _lex_min_tight_matching(
     tight: np.ndarray,
     col_of_row: np.ndarray,
@@ -326,10 +307,7 @@ def _lex_min_tight_matching(
 
     Returns the {real row: real column} pairs of the selected matching.
     """
-    tight_rows, tight_cols = np.nonzero(tight)
-    ends = np.searchsorted(tight_rows, np.arange(1, tight.shape[0] + 1)).tolist()
-    flat = tight_cols.tolist()
-    adjacency = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    adjacency = _adjacency(tight)
     col_of, row_of = col_of_row.tolist(), row_of_col.tolist()
     for row in range(n_rows):
         current = col_of[row]
@@ -339,12 +317,16 @@ def _lex_min_tight_matching(
             owner = row_of[col]
             if owner < row:
                 continue
-            moves = _alternating_path(adjacency, row_of, owner, col, current, row)
-            if moves is not None:
-                for r, c in [(row, col)] + moves:
-                    col_of[r] = c
-                    row_of[c] = r
-                break
+            # Give ``col`` to ``row`` and free ``current``; ``owner`` must
+            # then reach ``current`` through rows that are not yet fixed.
+            row_of[col], row_of[current] = row, -1
+            moves = _augmenting_path(adjacency, row_of, owner, fixed_below=row)
+            if moves is None:
+                row_of[col], row_of[current] = owner, row
+                continue
+            for r, c in [(row, col)] + moves:
+                col_of[r] = c
+            break
     return {r: col_of[r] for r in range(n_rows) if col_of[r] < n_cols}
 
 
@@ -372,7 +354,18 @@ def solve(cost: CostMatrix) -> Assignment:
         padded = np.full((dim, dim), pad_cost)
         padded[:n_rows, :n_cols] = cost.values
 
-    u, v, col_of_row, row_of_col = _column_reduction(padded)
+    # Column reduction (Jonker & Volgenant): ``v`` is the column minima and
+    # ``u`` is zero, so every entry's reduced cost ``c - u - v`` is
+    # nonnegative. Columns are taken in ascending order and each goes to its
+    # first minimum row while that row is still free; every such pair has
+    # zero reduced cost.
+    u = np.zeros(dim)
+    v = padded.min(axis=0)
+    rows, cols = np.unique(padded.argmin(axis=0), return_index=True)
+    col_of_row = np.full(dim, -1)
+    row_of_col = np.full(dim, -1)
+    col_of_row[rows] = cols
+    row_of_col[cols] = rows
     for row in np.flatnonzero(col_of_row < 0).tolist():
         _augment(padded, u, v, col_of_row, row_of_col, row)
 

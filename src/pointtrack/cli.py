@@ -34,20 +34,6 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp_path, path)
 
 
-def _load_config(path: str | None) -> dict[str, object]:
-    if path is None:
-        return {}
-    try:
-        text = _read_text(path)
-    except OSError as exc:
-        raise UserError(f"cannot read config {path}: {exc.strerror}") from exc
-    try:
-        return formats.parse_config(text)
-    except ParseError as exc:
-        exc.path = path
-        raise
-
-
 def _parse_input(path: str, parser):
     try:
         text = _read_text(path)
@@ -58,6 +44,18 @@ def _parse_input(path: str, parser):
     except ParseError as exc:
         exc.path = path
         raise
+
+
+def _load_config(path: str | None) -> dict[str, object]:
+    return {} if path is None else _parse_input(path, formats.parse_config)
+
+
+def _parse_results(path: str) -> list[FrameResult]:
+    """Read a track file as frame results, for scoring and rendering."""
+    return [
+        FrameResult(frame=frame, records=records, born=[], died=[])
+        for frame, records in _parse_input(path, formats.parse_tracks).items()
+    ]
 
 
 def _parse_bounds_flag(token: str) -> tuple[float, float]:
@@ -88,12 +86,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    records_by_frame = _parse_input(args.tracks, formats.parse_tracks)
+    results = _parse_results(args.tracks)
     gt = _parse_input(args.ground_truth, formats.parse_ground_truth)
-    results = [
-        FrameResult(frame=frame, records=records, born=[], died=[])
-        for frame, records in records_by_frame.items()
-    ]
     metrics = evaluate(
         results, gt, match_radius=args.radius, include_tentative=args.include_tentative
     )
@@ -107,11 +101,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    records_by_frame = _parse_input(args.tracks, formats.parse_tracks)
-    results = [
-        FrameResult(frame=frame, records=records, born=[], died=[])
-        for frame, records in records_by_frame.items()
-    ]
+    results = _parse_results(args.tracks)
     documents = formats.render_overlay(results, _parse_bounds_flag(args.bounds))
     try:
         os.makedirs(args.out_dir, exist_ok=True)
@@ -166,9 +156,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,9 +17,9 @@ Track file -- one record per line,
 Ground-truth file -- ``frame,gt_id,x,y``, same conventions.
 
 Positions (x, y in every file) and track velocities (vx, vy) must lie in
-[-COORD_LIMIT, COORD_LIMIT]. The bound lies far beyond any image and keeps
-squared distances between points, and the filter arithmetic on them,
-finite.
+[-COORD_LIMIT, COORD_LIMIT], the tracker's bound re-exported here.
+``ScenarioSpec`` rejects scenes whose points could leave it, so every file
+``synth`` writes parses.
 
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
@@ -30,12 +30,14 @@ Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 from .errors import ParseError
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
+    COORD_LIMIT,
     Detection,
     FrameResult,
     RecordSource,
@@ -44,26 +46,14 @@ from .tracker import (
     TrackStatus,
 )
 
-_TRACKER_KEYS = (
-    "gate_px",
-    "confirm_hits",
-    "max_misses",
-    "sigma_a",
-    "sigma_z",
-    "p0_pos",
-    "p0_vel",
-    "min_confidence",
-)
-_SCENARIO_KEYS = (
-    "n_frames",
-    "targets",
-    "noise_sigma",
-    "miss_prob",
-    "clutter_rate",
-    "bounds",
-    "seed",
-)
-_INT_KEYS = {"confirm_hits", "max_misses", "n_frames", "seed"}
+_TRACKER_KEYS = tuple(f.name for f in dataclasses.fields(TrackerConfig))
+_SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
+_INT_KEYS = {
+    name
+    for cls in (TrackerConfig, ScenarioSpec)
+    for name, hint in get_type_hints(cls).items()
+    if hint is int
+}
 
 # Fixed 12-color palette; a track's color is palette[track_id % 12].
 PALETTE = (
@@ -82,10 +72,6 @@ PALETTE = (
 )
 
 TRAIL_LENGTH = 20
-
-# Largest accepted |coordinate| or |velocity| in data files, in pixels
-# (per frame for velocities).
-COORD_LIMIT = 1e9
 
 
 def _fmt(value: float) -> str:
@@ -118,25 +104,33 @@ def _parse_coord(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _data_lines(text: str) -> Iterable[tuple[int, str]]:
+def _records(
+    text: str, layout: str, field_counts: tuple[int, ...]
+) -> Iterator[tuple[int, int, list[str]]]:
+    """Yield (line_no, frame, fields) for each nonblank line of a data file.
+
+    Checks the field count against ``field_counts`` (``layout`` names the
+    fields in the error) and that the leading frame is an integer >= 1.
+    """
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
-        if line:
-            yield line_no, line
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) not in field_counts:
+            raise ParseError(
+                f"expected {layout}, got {len(fields)} fields", line=line_no
+            )
+        frame = _parse_int(fields[0], line_no, "frame")
+        if frame < 1:
+            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
+        yield line_no, frame, fields
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Parse a detection file into a frame-indexed map, frames ascending."""
     grouped: dict[int, list[Detection]] = {}
-    for line_no, line in _data_lines(text):
-        fields = line.split(",")
-        if len(fields) not in (3, 4):
-            raise ParseError(
-                f"expected frame,x,y[,confidence], got {len(fields)} fields", line=line_no
-            )
-        frame = _parse_int(fields[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
+    for line_no, frame, fields in _records(text, "frame,x,y[,confidence]", (3, 4)):
         x = _parse_coord(fields[1], line_no, "x")
         y = _parse_coord(fields[2], line_no, "y")
         confidence = 1.0
@@ -166,16 +160,8 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     source_by_char = {s.value: s for s in RecordSource}
     grouped: dict[int, list[TrackRecord]] = {}
     seen_ids: dict[int, set[int]] = {}
-    for line_no, line in _data_lines(text):
-        fields = line.split(",")
-        if len(fields) != 8:
-            raise ParseError(
-                f"expected frame,track_id,x,y,vx,vy,status,source, got {len(fields)} fields",
-                line=line_no,
-            )
-        frame = _parse_int(fields[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
+    layout = "frame,track_id,x,y,vx,vy,status,source"
+    for line_no, frame, fields in _records(text, layout, (8,)):
         track_id = _parse_int(fields[1], line_no, "track_id")
         if track_id < 1:
             raise ParseError(f"track_id must be >= 1, got {track_id}", line=line_no)
@@ -218,15 +204,7 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth file (``frame,gt_id,x,y``)."""
     frames: dict[int, list[tuple[int, float, float]]] = {}
-    for line_no, line in _data_lines(text):
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(
-                f"expected frame,gt_id,x,y, got {len(fields)} fields", line=line_no
-            )
-        frame = _parse_int(fields[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
+    for line_no, frame, fields in _records(text, "frame,gt_id,x,y", (4,)):
         gt_id = _parse_int(fields[1], line_no, "gt_id")
         x = _parse_coord(fields[2], line_no, "x")
         y = _parse_coord(fields[3], line_no, "y")

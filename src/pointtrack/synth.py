@@ -14,6 +14,7 @@ accumulated and folded into MOTA.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,7 +23,11 @@ import numpy as np
 from .assignment import CostMatrix, solve
 from .errors import AlignmentError, SpecError
 from .rng import SplitMix64
-from .tracker import Detection, FrameResult, TrackRecord, TrackStatus, gate
+from .tracker import COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, gate
+
+# Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
+# gives sqrt(-2 ln 2^-53) = sqrt(106 ln 2) ~ 8.57.
+_GAUSS_BOUND = 9.0
 
 
 class TargetPath(NamedTuple):
@@ -61,6 +66,15 @@ class ScenarioSpec:
         object.__setattr__(self, "bounds", (float(self.bounds[0]), float(self.bounds[1])))
         if self.n_frames < 1:
             raise SpecError("n_frames must be at least 1")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise SpecError("noise_sigma must be finite and nonnegative")
+        if not 0.0 <= self.miss_prob <= 1.0:
+            raise SpecError("miss_prob must lie in [0, 1]")
+        if not (math.isfinite(self.clutter_rate) and self.clutter_rate >= 0):
+            raise SpecError("clutter_rate must be finite and nonnegative")
+        if not all(0 < side <= COORD_LIMIT for side in self.bounds):
+            raise SpecError(f"bounds must be positive and at most {COORD_LIMIT:g}")
+        margin = _GAUSS_BOUND * self.noise_sigma
         for i, t in enumerate(self.targets):
             if not t.birth_frame >= 1:
                 raise SpecError(f"target {i}: birth_frame must be >= 1")
@@ -69,14 +83,16 @@ class ScenarioSpec:
                     f"target {i}: need birth < death <= n_frames, "
                     f"got {t.birth_frame}, {t.death_frame}, {self.n_frames}"
                 )
-        if self.noise_sigma < 0:
-            raise SpecError("noise_sigma must be nonnegative")
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise SpecError("miss_prob must lie in [0, 1]")
-        if self.clutter_rate < 0:
-            raise SpecError("clutter_rate must be nonnegative")
-        if self.bounds[0] <= 0 or self.bounds[1] <= 0:
-            raise SpecError("bounds must be positive")
+            if not all(math.isfinite(value) for value in t[2:]):
+                raise SpecError(f"target {i}: start and velocity must be finite")
+            # A linear path is farthest out at its first or last frame.
+            age = t.death_frame - t.birth_frame
+            ends = (t.start_x, t.start_y, t.start_x + age * t.vx, t.start_y + age * t.vy)
+            if max(abs(end) for end in ends) + margin > COORD_LIMIT:
+                raise SpecError(
+                    f"target {i}: positions (plus {_GAUSS_BOUND:g} * noise_sigma) "
+                    f"must stay within +-{COORD_LIMIT:g}"
+                )
 
 
 @dataclass(frozen=True)

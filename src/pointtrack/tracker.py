@@ -15,6 +15,7 @@ never reused, so identity is conserved for as long as a track lives.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -23,6 +24,12 @@ import numpy as np
 from . import kfilter
 from .assignment import Assignment, CostMatrix, solve
 from .errors import EmptyError, OrderError, ParamError
+
+
+# Largest accepted |coordinate| or |velocity| of a point, in pixels (per
+# frame for velocities). It lies far beyond any image and keeps squared
+# distances between points, and the filter arithmetic on them, finite.
+COORD_LIMIT = 1e9
 
 
 class TrackStatus(enum.Enum):
@@ -82,8 +89,14 @@ class TrackerConfig:
     min_confidence: float = 0.0
 
     def __post_init__(self):
-        if self.gate_px <= 0:
-            raise ParamError("gate_px must be positive")
+        for name in ("gate_px", "sigma_a", "sigma_z", "p0_pos", "p0_vel"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ParamError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.min_confidence <= 1.0:
+            raise ParamError(
+                f"min_confidence must lie in [0, 1], got {self.min_confidence}"
+            )
         if self.confirm_hits < 1:
             raise ParamError("confirm_hits must be at least 1")
         if self.max_misses < 0:

@@ -1,6 +1,7 @@
 """Assignment solver tests: staged reductions, line cover, and the oracle."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,19 @@ class TestLineCover:
     def test_all_zero_matrix_needs_dimension_lines(self):
         covered_rows, covered_cols = min_line_cover(matrix([[0, 0], [0, 0]]))
         assert len(covered_rows) + len(covered_cols) == 2
+
+    def test_long_augmenting_chain_beyond_recursion_limit(self):
+        # Zeros at (r, r) and (r, r+1), plus (n-1, 0): rows 0..n-2 take
+        # their diagonal, so the last row's augmenting path runs through
+        # every other row, deeper than a recursive search could go.
+        n = sys.getrecursionlimit() + 200
+        values = np.ones((n, n))
+        r = np.arange(n - 1)
+        values[r, r] = 0.0
+        values[r, r + 1] = 0.0
+        values[n - 1, 0] = 0.0
+        covered_rows, covered_cols = min_line_cover(CostMatrix(values))
+        assert len(covered_rows) + len(covered_cols) == n
 
     @given(cost_matrices(max_dim=6))
     def test_cover_covers_every_zero(self, cost):

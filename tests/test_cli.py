@@ -75,6 +75,16 @@ class TestTrack:
         assert code == 2
         assert "shenanigans" in capsys.readouterr().err
 
+    def test_out_of_range_min_confidence_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("min_confidence = 5\n")
+        dets = tmp_path / "d.csv"
+        dets.write_text("1,1,1\n")
+        out = tmp_path / "out.csv"
+        assert main(["track", str(dets), str(out), "--config", str(cfg)]) == 2
+        assert "min_confidence" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path, scenario_file):
         dets, _, tracks = run_pipeline(tmp_path, scenario_file)
         first = open(tracks, "rb").read()
@@ -123,6 +133,23 @@ class TestSynth:
         code = main(["synth", str(cfg), str(tmp_path / "d.csv"), str(tmp_path / "g.csv")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "n_frames = 10\ntargets = 1,3,1e300,0,1e300,0\n",
+            "n_frames = 10\ntargets = 1,3,9e8,0,9e8,0\n",
+            "n_frames = 10\nbounds = 1e300x10\nclutter_rate = 2\n",
+        ],
+    )
+    def test_spec_beyond_coordinate_limit_exits_two(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(spec)
+        dets = tmp_path / "d.csv"
+        assert main(["synth", str(cfg), str(dets), str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not dets.exists()
 
 
 class TestEval:

@@ -3,6 +3,13 @@
 import pytest
 
 from pointtrack.errors import AlignmentError, SpecError
+from pointtrack.io import (
+    COORD_LIMIT,
+    parse_detections,
+    parse_ground_truth,
+    write_detections,
+    write_ground_truth,
+)
 from pointtrack.rng import SplitMix64
 from pointtrack.synth import (
     GroundTruth,
@@ -137,11 +144,37 @@ class TestGenerate:
             {"noise_sigma": -1.0},
             {"clutter_rate": -2.0},
             {"bounds": (0.0, 100.0)},
+            {"bounds": (1e300, 100.0)},  # clutter would land beyond COORD_LIMIT
+            {"bounds": (float("nan"), 100.0)},
+            {"noise_sigma": float("nan")},
+            {"clutter_rate": float("inf")},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):
         with pytest.raises(SpecError):
             spec_with(**overrides)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            (1, 3, float("nan"), 0.0, 0.0, 0.0),
+            (1, 3, 0.0, 0.0, 0.0, float("inf")),
+            (1, 3, 1e300, 0.0, 1e300, 0.0),
+            (1, 3, 9e8, 0.0, 9e8, 0.0),  # x reaches 2.7e9 on its last frame
+            (1, 3, 0.0, 1e9 - 5.0, 0.0, 0.0),  # inside, but noise can push it out
+        ],
+    )
+    def test_target_that_could_leave_coordinate_limit_is_named(self, target):
+        with pytest.raises(SpecError, match="target 1"):
+            spec_with(targets=((1, 20, 10.0, 10.0, 2.0, 1.0), target), noise_sigma=1.0)
+
+    def test_points_on_the_coordinate_limit_round_trip(self):
+        spec = spec_with(targets=((1, 3, COORD_LIMIT, -COORD_LIMIT, -1e9, 1e9),))
+        gt, detections = generate(spec)
+        assert len(parse_detections(write_detections(detections))) == 3
+        parsed = parse_ground_truth(write_ground_truth(gt))
+        assert parsed.frames[1] == [(1, COORD_LIMIT, -COORD_LIMIT)]
+        assert parsed.frames[3] == [(1, -COORD_LIMIT, COORD_LIMIT)]
 
 
 class TestEvaluate:

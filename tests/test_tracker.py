@@ -271,3 +271,28 @@ class TestConfigValidation:
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ParamError):
             TrackerConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("gate_px", math.nan),
+            ("gate_px", math.inf),
+            ("sigma_a", 0.0),
+            ("sigma_a", -1.0),
+            ("sigma_z", 0.0),
+            ("sigma_z", math.nan),
+            ("p0_pos", -1.0),
+            ("p0_vel", 0.0),
+            ("p0_vel", math.inf),
+            ("min_confidence", 5.0),
+            ("min_confidence", -0.1),
+            ("min_confidence", math.nan),
+        ],
+    )
+    def test_non_finite_or_out_of_range_field_rejected_by_name(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            TrackerConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_min_confidence_bounds_accepted(self, value):
+        assert TrackerConfig(min_confidence=value).min_confidence == value
