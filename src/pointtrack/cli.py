@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 2 on any input problem (unreadable files,
 malformed lines, bad configuration), 3 when an internal invariant breaks.
-Output files are written to a temporary sibling and atomically renamed, so
-a failing run never leaves partial output behind.
+Output files are written to a unique temporary sibling and atomically
+renamed, so a failing run never leaves partial output behind.
 """
 
 from __future__ import annotations
@@ -11,10 +11,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from typing import Sequence
 
 from . import io as formats
-from .errors import InternalError, ParseError, UserError
+from .errors import InternalError, ParamError, ParseError, SpecError, UserError
 from .synth import evaluate, generate
 from .tracker import FrameResult, run
 
@@ -27,11 +28,30 @@ def _read_text(path: str) -> str:
         raise UserError(f"{path} is not valid UTF-8: {exc.reason}") from exc
 
 
+# mkstemp makes owner-only files; outputs get the mode open() would give them.
+_UMASK = os.umask(0o22)
+os.umask(_UMASK)
+
+
 def _write_atomic(path: str, text: str) -> None:
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp_path, path)
+    """Write through a unique temporary sibling that is renamed over `path`.
+
+    Concurrent writers never share a temporary file, and a failed write
+    removes its own, so only a complete file ever appears at `path`.
+    """
+    directory, name = os.path.split(path)
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.chmod(tmp_path, 0o666 & ~_UMASK)
+            os.replace(tmp_path, path)
+        except BaseException:
+            os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise UserError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _parse_input(path: str, parser):
@@ -48,6 +68,14 @@ def _parse_input(path: str, parser):
 
 def _load_config(path: str | None) -> dict[str, object]:
     return {} if path is None else _parse_input(path, formats.parse_config)
+
+
+def _build(path: str | None, factory, values: dict[str, object]):
+    """`factory(values)`; a value it rejects is reported with the config file's name."""
+    try:
+        return factory(values)
+    except (ParamError, SpecError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def _parse_results(path: str) -> list[FrameResult]:
@@ -67,7 +95,7 @@ def _parse_bounds_flag(token: str) -> tuple[float, float]:
 
 
 def cmd_track(args: argparse.Namespace) -> int:
-    config = formats.tracker_config_from(_load_config(args.config))
+    config = _build(args.config, formats.tracker_config_from, _load_config(args.config))
     detections = _parse_input(args.detections, formats.parse_detections)
     results = run(detections, config)
     _write_atomic(args.output, formats.write_tracks(results))
@@ -78,7 +106,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     values = _load_config(args.spec)
     if args.seed is not None:
         values["seed"] = args.seed
-    spec = formats.scenario_spec_from(values)
+    spec = _build(args.spec, formats.scenario_spec_from, values)
     gt, detections = generate(spec)
     _write_atomic(args.out_detections, formats.write_detections(detections))
     _write_atomic(args.out_ground_truth, formats.write_ground_truth(gt))

@@ -16,6 +16,8 @@ Track file -- one record per line,
 
 Ground-truth file -- ``frame,gt_id,x,y``, same conventions.
 
+Track and ground-truth ids are integers >= 1, each at most once per frame.
+
 Positions (x, y in every file) and track velocities (vx, vy) must lie in
 [-COORD_LIMIT, COORD_LIMIT], the tracker's bound re-exported here.
 ``ScenarioSpec`` rejects scenes whose points could leave it, so every file
@@ -104,6 +106,23 @@ def _parse_coord(token: str, line_no: int, what: str) -> float:
     return value
 
 
+def _parse_id(
+    token: str, line_no: int, what: str, frame: int, seen: dict[int, set[int]]
+) -> int:
+    """Parse an id that must be >= 1 and unique within its frame.
+
+    ``seen`` maps each frame to the ids read so far and is updated.
+    """
+    value = _parse_int(token, line_no, what)
+    if value < 1:
+        raise ParseError(f"{what} must be >= 1, got {value}", line=line_no)
+    ids = seen.setdefault(frame, set())
+    if value in ids:
+        raise ParseError(f"{what} {value} appears twice in frame {frame}", line=line_no)
+    ids.add(value)
+    return value
+
+
 def _records(
     text: str, layout: str, field_counts: tuple[int, ...]
 ) -> Iterator[tuple[int, int, list[str]]]:
@@ -162,9 +181,7 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     seen_ids: dict[int, set[int]] = {}
     layout = "frame,track_id,x,y,vx,vy,status,source"
     for line_no, frame, fields in _records(text, layout, (8,)):
-        track_id = _parse_int(fields[1], line_no, "track_id")
-        if track_id < 1:
-            raise ParseError(f"track_id must be >= 1, got {track_id}", line=line_no)
+        track_id = _parse_id(fields[1], line_no, "track_id", frame, seen_ids)
         x = _parse_coord(fields[2], line_no, "x")
         y = _parse_coord(fields[3], line_no, "y")
         vx = _parse_coord(fields[4], line_no, "vx")
@@ -175,12 +192,6 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
         source = source_by_char.get(fields[7].strip())
         if source is None:
             raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
-        ids = seen_ids.setdefault(frame, set())
-        if track_id in ids:
-            raise ParseError(
-                f"track {track_id} appears twice in frame {frame}", line=line_no
-            )
-        ids.add(track_id)
         grouped.setdefault(frame, []).append(
             TrackRecord(track_id, x, y, vx, vy, status, source)
         )
@@ -204,8 +215,9 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth file (``frame,gt_id,x,y``)."""
     frames: dict[int, list[tuple[int, float, float]]] = {}
+    seen_ids: dict[int, set[int]] = {}
     for line_no, frame, fields in _records(text, "frame,gt_id,x,y", (4,)):
-        gt_id = _parse_int(fields[1], line_no, "gt_id")
+        gt_id = _parse_id(fields[1], line_no, "gt_id", frame, seen_ids)
         x = _parse_coord(fields[2], line_no, "x")
         y = _parse_coord(fields[3], line_no, "y")
         frames.setdefault(frame, []).append((gt_id, x, y))

@@ -7,9 +7,9 @@ determined by the seed through the pinned stream in `rng`.
 
 `evaluate` scores tracker output against ground truth with CLEAR-style
 accounting: per frame, hypotheses are matched to ground-truth points by the
-same exact assignment solver used for tracking, hard-gated at a match
-radius; misses, false positives, identity switches and fragmentations are
-accumulated and folded into MOTA.
+tracker's own association step (`build_cost_matrix`, then the exact `solve`,
+hard-gated at a match radius); misses, false positives, identity switches
+and fragmentations are accumulated and folded into MOTA.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
-from .assignment import CostMatrix, solve
+from .assignment import solve
 from .errors import AlignmentError, SpecError
 from .rng import SplitMix64
-from .tracker import COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, gate
+from .tracker import (
+    COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, build_cost_matrix, gate
+)
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
 # gives sqrt(-2 ln 2^-53) = sqrt(106 ln 2) ~ 8.57.
@@ -213,10 +213,7 @@ def evaluate(
         records = by_frame.get(frame, [])
         pairs: list[tuple[int, int]] = []
         if gt_points and records:
-            deltas = np.array([[x, y] for _, x, y in gt_points])[:, None, :] - np.array(
-                [[r.x, r.y] for r in records]
-            )[None, :, :]
-            cost = CostMatrix(np.sqrt((deltas**2).sum(axis=2)))
+            cost = build_cost_matrix(gt_points, records)
             assignment = gate(solve(cost), cost, match_radius)
             pairs = sorted(assignment.pairs)
 

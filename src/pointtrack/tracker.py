@@ -4,7 +4,12 @@ Every live track is predicted one frame ahead, a Euclidean cost matrix is
 built between predicted positions and the frame's detections, the matrix is
 solved exactly and hard-gated, matched tracks are corrected with their
 measurement, unmatched tracks coast on the prediction, and unmatched
-detections give birth to new tracks.
+detections give birth to new tracks. A step computes all of this before it
+changes any track, so a step that raises leaves the tracker as it was.
+
+`Tracker.tracks` is always in ascending id order, and row i of the cost
+matrix is `tracks[i]`: `build_cost_matrix` keeps rows in the order given,
+so assignment ties go to the older track.
 
 Lifecycle: tracks are born Tentative, become Confirmed after `confirm_hits`
 consecutive hits, and die after `max_misses` consecutive misses; a Tentative
@@ -23,13 +28,18 @@ import numpy as np
 
 from . import kfilter
 from .assignment import Assignment, CostMatrix, solve
-from .errors import EmptyError, OrderError, ParamError
+from .errors import EmptyError, OrderError, ParamError, UserError
 
 
 # Largest accepted |coordinate| or |velocity| of a point, in pixels (per
 # frame for velocities). It lies far beyond any image and keeps squared
 # distances between points, and the filter arithmetic on them, finite.
 COORD_LIMIT = 1e9
+
+# Smallest accepted sigma_z. The innovation covariance is S = P[:2,:2] +
+# sigma_z^2 I, and P's x-y cross terms stay exactly 0, so det S >= sigma_z^4,
+# which this keeps at or above the singularity threshold of kfilter.update.
+SIGMA_Z_MIN = 1e-3
 
 
 class TrackStatus(enum.Enum):
@@ -45,7 +55,7 @@ class RecordSource(enum.Enum):
 
 @dataclass(frozen=True)
 class Detection:
-    """One measured head position in one frame (frame >= 1, finite coords)."""
+    """One measured head position in one frame (frame >= 1, |coords| <= COORD_LIMIT)."""
 
     frame: int
     x: float
@@ -93,6 +103,13 @@ class TrackerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ParamError(f"{name} must be finite and positive, got {value}")
+        # Bounded noise scales and variances keep the filter's products finite.
+        for name in ("sigma_a", "sigma_z", "p0_pos", "p0_vel"):
+            value = getattr(self, name)
+            if value > COORD_LIMIT:
+                raise ParamError(f"{name} must be at most {COORD_LIMIT:g}, got {value}")
+        if self.sigma_z < SIGMA_Z_MIN:
+            raise ParamError(f"sigma_z must be at least {SIGMA_Z_MIN:g}, got {self.sigma_z}")
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ParamError(
                 f"min_confidence must lie in [0, 1], got {self.min_confidence}"
@@ -121,8 +138,10 @@ def build_cost_matrix(
 ) -> CostMatrix:
     """Euclidean distances between predicted track positions and detections.
 
-    Rows are ordered by ascending track id (so assignment tie-breaking is
-    deterministic end to end), columns follow the detection input order.
+    Rows follow the order of `predicted` and columns the order of
+    `detections`; nothing is sorted. The tracker passes its tracks in
+    ascending id order. `synth.evaluate` scores with this same builder
+    (ground-truth points as rows, track records as columns).
 
     Raises:
         EmptyError: if either side is empty; callers branch to the pure
@@ -130,8 +149,7 @@ def build_cost_matrix(
     """
     if not predicted or not detections:
         raise EmptyError("cost matrix needs at least one track and one detection")
-    ordered = sorted(predicted)
-    track_xy = np.array([[px, py] for _, px, py in ordered])
+    track_xy = np.array([[px, py] for _, px, py in predicted])
     det_xy = np.array([[d.x, d.y] for d in detections])
     deltas = track_xy[:, None, :] - det_xy[None, :, :]
     return CostMatrix(np.sqrt((deltas**2).sum(axis=2)))
@@ -173,6 +191,8 @@ class Tracker:
         Raises:
             OrderError: when the frame index does not increase, or a
                 detection is stamped with a different frame.
+            UserError: when a detection coordinate is not finite or lies
+                beyond COORD_LIMIT.
         """
         cfg = self.config
         if frame <= self._last_frame:
@@ -184,46 +204,49 @@ class Tracker:
                 raise OrderError(
                     f"detection stamped frame {det.frame} fed to step({frame})"
                 )
+            if not (abs(det.x) <= COORD_LIMIT and abs(det.y) <= COORD_LIMIT):
+                raise UserError(
+                    f"frame {frame}: detection at ({det.x}, {det.y}) must be finite "
+                    f"and within +-{COORD_LIMIT:g}"
+                )
         usable = [d for d in detections if d.confidence >= cfg.min_confidence]
 
-        # 1. Predict every live track.
-        for track in self.tracks:
-            track.state = kfilter.predict(track.state, self.model)
-        by_id = {t.id: t for t in self.tracks}
-        ordered_ids = sorted(by_id)
+        # 1. Predict every live track; row i of the cost matrix is self.tracks[i].
+        states = [kfilter.predict(t.state, self.model) for t in self.tracks]
 
         # 2. Associate predictions with detections, then gate.
-        matched: list[tuple[Track, Detection]] = []
-        unmatched_tracks = list(self.tracks)
-        unmatched_dets = list(usable)
-        if self.tracks and usable:
-            predicted = [
-                (tid, float(by_id[tid].state.x[0]), float(by_id[tid].state.x[1]))
-                for tid in ordered_ids
-            ]
+        pairs: list[tuple[int, int]] = []
+        unmatched_rows: Sequence[int] = range(len(states))
+        unmatched_dets = usable
+        if states and usable:
+            predicted = [(t.id, s.x[0], s.x[1]) for t, s in zip(self.tracks, states)]
             cost = build_cost_matrix(predicted, usable)
             assignment = gate(solve(cost), cost, cfg.gate_px)
-            matched = [
-                (by_id[ordered_ids[r]], usable[c])
-                for r, c in sorted(assignment.pairs)
-            ]
-            unmatched_tracks = [by_id[ordered_ids[r]] for r in sorted(assignment.unmatched_rows)]
+            pairs = sorted(assignment.pairs)
+            unmatched_rows = sorted(assignment.unmatched_rows)
             unmatched_dets = [usable[c] for c in sorted(assignment.unmatched_cols)]
 
+        # 3. Correct matched tracks; every leftover detection starts a belief.
+        for r, c in pairs:
+            states[r], _ = kfilter.update(states[r], (usable[c].x, usable[c].y), self.model)
+        newborn = [kfilter.init_state(d.x, d.y, cfg.p0_pos, cfg.p0_vel) for d in unmatched_dets]
+
+        # 4. Nothing below can fail: commit the states, run the confirmation counter.
+        for track, state in zip(self.tracks, states):
+            track.state = state
         born: list[int] = []
         died: list[int] = []
-
-        # 3. Correct matched tracks and run the confirmation counter.
-        for track, det in matched:
-            track.state, _ = kfilter.update(track.state, (det.x, det.y), self.model)
+        for r, _ in pairs:
+            track = self.tracks[r]
             track.hit_streak += 1
             track.miss_streak = 0
             if track.status is TrackStatus.TENTATIVE and track.hit_streak >= cfg.confirm_hits:
                 track.status = TrackStatus.CONFIRMED
             track.source = RecordSource.MEASURED
 
-        # 4. Coast or kill unmatched tracks.
-        for track in unmatched_tracks:
+        # 5. Coast or kill unmatched tracks.
+        for r in unmatched_rows:
+            track = self.tracks[r]
             track.miss_streak += 1
             track.hit_streak = 0
             if track.status is TrackStatus.TENTATIVE or track.miss_streak > cfg.max_misses:
@@ -232,20 +255,16 @@ class Tracker:
             else:
                 track.source = RecordSource.COASTED
 
-        # 5. Every leftover detection births a Tentative track.
-        for det in unmatched_dets:
-            track = Track(
-                id=self._next_id,
-                state=kfilter.init_state(det.x, det.y, cfg.p0_pos, cfg.p0_vel),
-                hit_streak=1,
-            )
+        # 6. Every leftover detection births a Tentative track (ids ascend).
+        for state in newborn:
+            track = Track(id=self._next_id, state=state, hit_streak=1)
             self._next_id += 1
             if track.hit_streak >= cfg.confirm_hits:
                 track.status = TrackStatus.CONFIRMED
             self.tracks.append(track)
             born.append(track.id)
 
-        # 6. Report all surviving tracks, drop the dead.
+        # 7. Report all surviving tracks, drop the dead.
         self.tracks = [t for t in self.tracks if t.status is not TrackStatus.DEAD]
         records = [
             TrackRecord(
@@ -257,7 +276,7 @@ class Tracker:
                 status=t.status,
                 source=t.source,
             )
-            for t in sorted(self.tracks, key=lambda t: t.id)
+            for t in self.tracks
         ]
         self._last_frame = frame
         return FrameResult(frame=frame, records=records, born=born, died=died)

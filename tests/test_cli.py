@@ -85,6 +85,37 @@ class TestTrack:
         assert "min_confidence" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejected_config_value_names_the_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("min_confidence = 5\n")
+        dets = tmp_path / "d.csv"
+        dets.write_text("1,1,1\n")
+        assert main(["track", str(dets), str(tmp_path / "t.csv"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: min_confidence must lie in [0, 1]")
+
+    def test_output_path_that_is_a_directory_exits_two(self, tmp_path, capsys):
+        dets = tmp_path / "d.csv"
+        dets.write_text("1,1,1\n")
+        out = tmp_path / "out.csv"
+        out.mkdir()
+        before = sorted(os.listdir(tmp_path))
+        assert main(["track", str(dets), str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert ".tmp" not in err and "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == before
+        assert os.listdir(out) == []
+
+    def test_output_keeps_the_default_file_mode(self, tmp_path):
+        dets = tmp_path / "d.csv"
+        dets.write_text("1,1,1\n")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        out = tmp_path / "out.csv"
+        assert main(["track", str(dets), str(out)]) == 0
+        assert out.stat().st_mode == plain.stat().st_mode
+
     def test_byte_identical_reruns(self, tmp_path, scenario_file):
         dets, _, tracks = run_pipeline(tmp_path, scenario_file)
         first = open(tracks, "rb").read()
@@ -120,6 +151,16 @@ class TestSynth:
         )
         assert base.read_bytes() != other.read_bytes()
 
+    def test_seed_override_applies_before_the_spec_is_built(self, tmp_path, scenario_file):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        seeded = tmp_path / "seeded.cfg"
+        seeded.write_text(SCENARIO.replace("seed = 7", "seed = 1234"))
+        assert main(["synth", str(seeded), str(a), str(tmp_path / "g1.csv")]) == 0
+        assert main(
+            ["synth", scenario_file, str(b), str(tmp_path / "g2.csv"), "--seed", "1234"]
+        ) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_certain_miss_writes_empty_detections(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("n_frames = 10\ntargets = 1,10,0,0,1,1\nmiss_prob = 1\n")
@@ -150,6 +191,12 @@ class TestSynth:
         assert main(["synth", str(cfg), str(dets), str(tmp_path / "g.csv")]) == 2
         assert capsys.readouterr().err.startswith("error:")
         assert not dets.exists()
+
+    def test_rejected_spec_value_names_the_spec_file(self, tmp_path, capsys):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text("n_frames = 10\ntargets = 1,3,1e300,0,1e300,0\n")
+        assert main(["synth", str(cfg), str(tmp_path / "d.csv"), str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: target 0: ")
 
 
 class TestEval:

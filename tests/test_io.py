@@ -218,6 +218,24 @@ class TestGroundTruthFile:
             parse_ground_truth("1,1,2,3\n1,2,2,1e200")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("1,1,0,0\n1,1,5,5\n1,-3,9,9", 2, "gt_id 1 appears twice in frame 1"),
+            ("1,1,0,0\n1,2,5,5\n1,-3,9,9", 3, "gt_id must be >= 1, got -3"),
+            ("2,0,0,0", 1, "gt_id must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_or_repeated_gt_id_located(self, text, line, message):
+        with pytest.raises(ParseError) as info:
+            parse_ground_truth(text)
+        assert info.value.line == line
+        assert info.value.message == message
+
+    def test_same_gt_id_on_different_frames_accepted(self):
+        parsed = parse_ground_truth("1,1,0,0\n2,1,5,5\n2,2,9,9")
+        assert parsed.frames == {1: [(1, 0.0, 0.0)], 2: [(1, 5.0, 5.0), (2, 9.0, 9.0)]}
+
 
 class TestConfig:
     def test_defaults_when_missing(self):

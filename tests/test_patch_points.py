@@ -1,0 +1,113 @@
+"""The module attributes that per-layer timing replaces stay on the call path.
+
+`perfbench/layers.py` attributes time to each layer by swapping functions in
+the module namespaces where their callers look them up at call time. These
+tests pin those lookups, so a refactor that reroutes a call fails here
+instead of silently moving time from one layer's metric to another's.
+"""
+
+import pytest
+
+from pointtrack import kfilter, synth
+from pointtrack import tracker as tracker_module
+from pointtrack.synth import ScenarioSpec, TargetPath, evaluate, generate
+from pointtrack.tracker import RecordSource, TrackStatus, group_by_frame, run
+
+# Targets are born after frame 1 and die before the last frame, with misses
+# and clutter, so some frames have ground truth but no confirmed record and
+# some have records but no ground truth.
+SPEC = ScenarioSpec(
+    n_frames=60,
+    targets=(
+        TargetPath(3, 40, 20.0, 20.0, 2.0, 1.0),
+        TargetPath(10, 55, 300.0, 200.0, -1.5, 0.5),
+        TargetPath(5, 30, 100.0, 400.0, 0.0, -2.0),
+    ),
+    noise_sigma=0.7,
+    miss_prob=0.1,
+    clutter_rate=0.5,
+    bounds=(640.0, 480.0),
+    seed=5,
+)
+
+
+@pytest.fixture(scope="module")
+def scene():
+    gt, detections = generate(SPEC)
+    stream = group_by_frame(detections)
+    return gt, stream, run(stream, frame_range=(1, SPEC.n_frames + 10))
+
+
+def counting(monkeypatch, module, name):
+    """Replace `module.name` with a pass-through that records each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_evaluate_solves_and_gates_once_per_scored_frame(monkeypatch, scene):
+    gt, _, results = scene
+    confirmed = {
+        fr.frame: [r for r in fr.records if r.status is TrackStatus.CONFIRMED]
+        for fr in results
+    }
+    scored = [f for f in confirmed if gt.at(f) and confirmed[f]]
+    assert any(gt.at(f) and not confirmed[f] for f in confirmed)
+    assert any(confirmed[f] and not gt.at(f) for f in confirmed)
+
+    solves = counting(monkeypatch, synth, "solve")
+    gates = counting(monkeypatch, synth, "gate")
+    evaluate(results, gt)
+    assert len(solves) == len(gates) == len(scored)
+
+
+def test_evaluate_does_not_reach_the_tracker_cost_builder(monkeypatch, scene):
+    gt, _, results = scene
+    expected = evaluate(results, gt)
+
+    def tracking_only(*args, **kwargs):
+        raise AssertionError("evaluate called tracker.build_cost_matrix")
+
+    monkeypatch.setattr(tracker_module, "build_cost_matrix", tracking_only)
+    assert evaluate(results, gt) == expected
+
+
+def test_step_reaches_each_patched_name(monkeypatch, scene):
+    _, stream, expected = scene
+    calls = {
+        name: counting(monkeypatch, module, name)
+        for module, name in [
+            (tracker_module, "build_cost_matrix"),
+            (tracker_module, "solve"),
+            (tracker_module, "gate"),
+            (kfilter, "predict"),
+            (kfilter, "update"),
+            (kfilter, "init_state"),
+        ]
+    }
+    results = run(stream, frame_range=(1, SPEC.n_frames + 10))
+    assert results == expected
+
+    tracks_in = [len(fr.records) - len(fr.born) + len(fr.died) for fr in results]
+    associated = sum(
+        1 for fr, n in zip(results, tracks_in) if n and stream.get(fr.frame)
+    )
+    updates = sum(
+        1
+        for fr in results
+        for r in fr.records
+        if r.source is RecordSource.MEASURED and r.track_id not in fr.born
+    )
+    assert associated > 0 and updates > 0
+    assert len(calls["build_cost_matrix"]) == associated
+    assert len(calls["solve"]) == associated
+    assert len(calls["gate"]) == associated
+    assert len(calls["predict"]) == sum(tracks_in)
+    assert len(calls["update"]) == updates
+    assert len(calls["init_state"]) == sum(len(fr.born) for fr in results)

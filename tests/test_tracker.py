@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from pointtrack import kfilter
+from pointtrack import tracker as tracker_module
 from pointtrack.assignment import CostMatrix, solve
-from pointtrack.errors import EmptyError, OrderError, ParamError
+from pointtrack.errors import EmptyError, NumericalError, OrderError, ParamError, UserError
 from pointtrack.io import write_tracks
 from pointtrack.tracker import (
+    COORD_LIMIT,
+    SIGMA_Z_MIN,
     Detection,
     RecordSource,
     Tracker,
@@ -53,12 +57,11 @@ class TestBuildCostMatrix:
         cost = build_cost_matrix([(1, 0.0, 0.0)], [det(1, 6, 8)])
         assert cost.values.tolist() == [[10.0]]
 
-    def test_rows_follow_ascending_track_id(self):
+    def test_rows_follow_given_order(self):
         cost = build_cost_matrix(
             [(7, 100.0, 0.0), (2, 0.0, 0.0)], [det(1, 0, 0)]
         )
-        assert cost.values[0, 0] == 0.0  # id 2 first
-        assert cost.values[1, 0] == 100.0
+        assert cost.values[:, 0].tolist() == [100.0, 0.0]  # id 7 stays first
 
     def test_empty_sides_rejected(self):
         with pytest.raises(EmptyError):
@@ -158,11 +161,103 @@ class TestStep:
         with pytest.raises(OrderError):
             tracker.step(1, [det(2, 0, 0)])
 
+    def test_equidistant_tracks_tie_goes_to_lower_id(self):
+        tracker = Tracker(TrackerConfig(confirm_hits=1))
+        # Track 1 is born on the right, track 2 on the left; both stay put.
+        tracker.step(1, [det(1, 20, 0), det(1, 0, 0)])
+        result = tracker.step(2, [det(2, 10, 0)])  # exactly 10 px from each
+        sources = {r.track_id: r.source for r in result.records}
+        assert sources == {1: RecordSource.MEASURED, 2: RecordSource.COASTED}
+        assert result.born == []
+
+    @pytest.mark.parametrize(
+        "x, y", [(math.nan, 0.0), (0.0, math.inf), (1e200, 0.0), (0.0, -2 * COORD_LIMIT)]
+    )
+    def test_non_finite_or_far_detection_rejected_before_any_change(self, x, y):
+        tracker = Tracker(TrackerConfig(confirm_hits=1))
+        tracker.step(1, [det(1, 5, 5)])
+        before = snapshot(tracker)
+        with pytest.raises(UserError, match="frame 2") as info:
+            tracker.step(2, [det(2, 6, 5), det(2, x, y)])
+        assert repr(x if x != 0.0 else y) in str(info.value)
+        assert snapshot(tracker) == before
+        assert tracker.step(2, [det(2, 6, 5)]).records[0].source is RecordSource.MEASURED
+
+    def test_detection_on_the_coordinate_limit_accepted(self):
+        result = Tracker().step(1, [det(1, COORD_LIMIT, -COORD_LIMIT)])
+        assert (result.records[0].x, result.records[0].y) == (COORD_LIMIT, -COORD_LIMIT)
+
     def test_low_confidence_detections_dropped(self):
         tracker = Tracker(TrackerConfig(min_confidence=0.5))
         result = tracker.step(1, [det(1, 0, 0, confidence=0.4), det(1, 9, 9, confidence=0.9)])
         assert result.born == [1]
         assert result.records[0].x == 9.0
+
+
+def snapshot(tracker):
+    """Everything a step may change, as plain values."""
+    return (
+        tracker._last_frame,
+        tracker._next_id,
+        [
+            (t.id, t.state.x.tolist(), t.state.P.tolist(), t.status, t.hit_streak,
+             t.miss_streak, t.source)
+            for t in tracker.tracks
+        ],
+    )
+
+
+class TestFailedStep:
+    """A step that raises partway through leaves the tracker as it was."""
+
+    # Frame 3 predicts tracks 1 and 2, updates both and births two tracks.
+    FRAMES = {
+        1: [det(1, 0, 0), det(1, 100, 0)],
+        2: [det(2, 1, 0), det(2, 101, 0)],
+        3: [det(3, 2, 0), det(3, 102, 0), det(3, 500, 500), det(3, 900, 900)],
+    }
+
+    @pytest.mark.parametrize(
+        "module, name, failing_call",
+        [
+            (kfilter, "predict", 2),
+            (tracker_module, "build_cost_matrix", 1),
+            (tracker_module, "solve", 1),
+            (tracker_module, "gate", 1),
+            (kfilter, "update", 1),
+            (kfilter, "update", 2),
+            (kfilter, "init_state", 1),
+            (kfilter, "init_state", 2),
+        ],
+    )
+    def test_fault_leaves_state_and_retry_matches_fresh_run(
+        self, monkeypatch, module, name, failing_call
+    ):
+        tracker = Tracker(TrackerConfig(confirm_hits=2))
+        for frame in (1, 2):
+            tracker.step(frame, self.FRAMES[frame])
+        before = snapshot(tracker)
+
+        real = getattr(module, name)
+        calls = 0
+
+        def fail_on_chosen_call(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls == failing_call:
+                raise NumericalError("injected fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, fail_on_chosen_call)
+        with pytest.raises(NumericalError, match="injected"):
+            tracker.step(3, self.FRAMES[3])
+        assert calls == failing_call
+        assert snapshot(tracker) == before
+
+        monkeypatch.undo()
+        retried = tracker.step(3, self.FRAMES[3])
+        assert retried == run(self.FRAMES, TrackerConfig(confirm_hits=2))[-1]
+        assert retried.born == [3, 4]
 
 
 class TestRun:
@@ -296,3 +391,41 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_min_confidence_bounds_accepted(self, value):
         assert TrackerConfig(min_confidence=value).min_confidence == value
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sigma_z", 1e-4),
+            ("sigma_z", 0.999e-3),
+            ("sigma_z", 1e200),
+            ("sigma_a", 1e200),
+            ("p0_pos", 1e300),
+            ("p0_vel", 2 * COORD_LIMIT),
+            ("sigma_a", 1.5 * COORD_LIMIT),
+        ],
+    )
+    def test_filter_parameter_out_of_range_rejected_by_name(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            TrackerConfig(**{field: value})
+
+    def test_tiny_variances_accepted_with_sigma_z_at_its_minimum(self):
+        cfg = TrackerConfig(sigma_a=1e-4, sigma_z=SIGMA_Z_MIN, p0_pos=1e-4, p0_vel=1e-4)
+        assert cfg.sigma_z == 1e-3
+
+    @pytest.mark.parametrize("bound", [SIGMA_Z_MIN, COORD_LIMIT])
+    def test_bound_values_run_a_long_scene(self, bound):
+        # Two steady targets for 60 frames, a 1980-frame coast, 60 more frames.
+        cfg = TrackerConfig(
+            sigma_a=bound, sigma_z=bound, p0_pos=bound, p0_vel=bound, max_misses=2000
+        )
+        seen = [f for f in range(1, 2101) if not 60 < f <= 2040]
+        stream = {f: [det(f, 100, 100), det(f, 400, 300)] for f in seen}
+        results = run(stream, cfg, frame_range=(1, 2100))
+        assert [fr.born for fr in results if fr.born] == [[1, 2]]
+        assert all(fr.died == [] for fr in results)
+        last = results[-1].records
+        assert [(r.track_id, r.status, r.source) for r in last] == [
+            (1, TrackStatus.CONFIRMED, RecordSource.MEASURED),
+            (2, TrackStatus.CONFIRMED, RecordSource.MEASURED),
+        ]
+        assert all(math.isfinite(v) for r in last for v in (r.x, r.y, r.vx, r.vy))
