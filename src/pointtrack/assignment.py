@@ -52,7 +52,12 @@ BRUTE_FORCE_CAP = 8
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """Rectangular nonnegative cost matrix (rows: tracks, cols: detections)."""
+    """Rectangular nonnegative cost matrix (rows: tracks, cols: detections).
+
+    A malformed matrix raises a plain ValueError, not a UserError: this is a
+    value type built from points the callers have already checked, so no
+    input file or CLI argument can reach these checks.
+    """
 
     values: np.ndarray
 

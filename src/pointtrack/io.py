@@ -175,7 +175,7 @@ def write_detections(detections: Iterable[Detection]) -> str:
 
 def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     """Parse a track file into a frame-indexed record map."""
-    status_by_char = {s.value: s for s in (TrackStatus.TENTATIVE, TrackStatus.CONFIRMED)}
+    status_by_char = {s.value: s for s in TrackStatus}
     source_by_char = {s.value: s for s in RecordSource}
     grouped: dict[int, list[TrackRecord]] = {}
     seen_ids: dict[int, set[int]] = {}

@@ -37,7 +37,6 @@ class MotionModel:
     Q: np.ndarray
     H: np.ndarray
     R: np.ndarray
-    dt: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def make_cv_model(sigma_a: float = 1.0, sigma_z: float = 2.0) -> MotionModel:
     for pos_i, vel_i in ((0, 2), (1, 3)):
         Q[np.ix_([pos_i, vel_i], [pos_i, vel_i])] = q_block
     R = (sigma_z * sigma_z) * np.eye(MEAS_DIM)
-    return MotionModel(F=F, Q=Q, H=H, R=R, dt=dt)
+    return MotionModel(F=F, Q=Q, H=H, R=R)
 
 
 def init_state(x: float, y: float, p0_pos: float = 10.0, p0_vel: float = 100.0) -> KalmanState:

@@ -97,7 +97,7 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact target positions per frame: lists of (gt_id, x, y)."""
+    """Exact target positions per frame: lists of (gt_id, x, y), each gt_id once per frame."""
 
     n_frames: int
     frames: dict[int, list[tuple[int, float, float]]]
@@ -211,30 +211,29 @@ def evaluate(
     for frame in range(1, horizon + 1):
         gt_points = gt.at(frame)
         records = by_frame.get(frame, [])
-        pairs: list[tuple[int, int]] = []
+        record_of: dict[int, int] = {}
         if gt_points and records:
-            cost = build_cost_matrix(gt_points, records)
-            assignment = gate(solve(cost), cost, match_radius)
-            pairs = sorted(assignment.pairs)
+            cost = build_cost_matrix(
+                [(x, y) for _, x, y in gt_points], [(r.x, r.y) for r in records]
+            )
+            record_of = dict(gate(solve(cost), cost, match_radius).pairs)
 
-        matches += len(pairs)
-        misses += len(gt_points) - len(pairs)
-        false_positives += len(records) - len(pairs)
+        matches += len(record_of)
+        misses += len(gt_points) - len(record_of)
+        false_positives += len(records) - len(record_of)
 
-        matched_ids = set()
-        for gt_index, rec_index in pairs:
-            gt_id = gt_points[gt_index][0]
-            track_id = records[rec_index].track_id
-            matched_ids.add(gt_id)
-            if gt_id in last_track and last_track[gt_id] != track_id:
+        for row, (gt_id, _, _) in enumerate(gt_points):
+            if row not in record_of:
+                if gt_id in last_track:
+                    in_gap.add(gt_id)
+                continue
+            track_id = records[record_of[row]].track_id
+            if last_track.get(gt_id, track_id) != track_id:
                 id_switches += 1
             if gt_id in in_gap:
                 fragmentation += 1
                 in_gap.discard(gt_id)
             last_track[gt_id] = track_id
-        for gt_id, _, _ in gt_points:
-            if gt_id not in matched_ids and gt_id in last_track:
-                in_gap.add(gt_id)
 
     total_gt = gt.total_points()
     if total_gt > 0:

@@ -2,10 +2,12 @@
 
 Every live track is predicted one frame ahead, a Euclidean cost matrix is
 built between predicted positions and the frame's detections, the matrix is
-solved exactly and hard-gated, matched tracks are corrected with their
-measurement, unmatched tracks coast on the prediction, and unmatched
-detections give birth to new tracks. A step computes all of this before it
-changes any track, so a step that raises leaves the tracker as it was.
+solved exactly and hard-gated into one row -> column map, matched tracks
+are corrected with their measurement, unmatched tracks coast on the
+prediction, and unclaimed detections give birth to new tracks. A step
+computes all of this before it changes any track, so a step that raises
+leaves the tracker as it was; one commit pass then writes every track's
+state and hit or miss and drops the tracks that die.
 
 `Tracker.tracks` is always in ascending id order, and row i of the cost
 matrix is `tracks[i]`: `build_cost_matrix` keeps rows in the order given,
@@ -13,7 +15,9 @@ so assignment ties go to the older track.
 
 Lifecycle: tracks are born Tentative, become Confirmed after `confirm_hits`
 consecutive hits, and die after `max_misses` consecutive misses; a Tentative
-track dies on its first miss. Track ids increase strictly at birth and are
+track dies on its first miss. A live track's status is only Tentative (T)
+or Confirmed (C), and its reported source is Coasted while it has a miss
+streak, Measured otherwise. Track ids increase strictly at birth and are
 never reused, so identity is conserved for as long as a track lives.
 """
 
@@ -45,7 +49,6 @@ SIGMA_Z_MIN = 1e-3
 class TrackStatus(enum.Enum):
     TENTATIVE = "T"
     CONFIRMED = "C"
-    DEAD = "D"
 
 
 class RecordSource(enum.Enum):
@@ -129,29 +132,33 @@ class Track:
     status: TrackStatus = TrackStatus.TENTATIVE
     hit_streak: int = 0
     miss_streak: int = 0
-    source: RecordSource = RecordSource.MEASURED  # of the latest reported position
+
+    @property
+    def source(self) -> RecordSource:
+        """How the latest reported position was obtained."""
+        return RecordSource.COASTED if self.miss_streak else RecordSource.MEASURED
 
 
 def build_cost_matrix(
-    predicted: Sequence[tuple[int, float, float]],
-    detections: Sequence[Detection],
+    rows: Sequence[Sequence[float]], cols: Sequence[Sequence[float]]
 ) -> CostMatrix:
-    """Euclidean distances between predicted track positions and detections.
+    """Euclidean distances between two sequences of (x, y) points.
 
-    Rows follow the order of `predicted` and columns the order of
-    `detections`; nothing is sorted. The tracker passes its tracks in
-    ascending id order. `synth.evaluate` scores with this same builder
-    (ground-truth points as rows, track records as columns).
+    Entry (i, j) is the distance from `rows[i]` to `cols[j]`; nothing is
+    sorted. The tracker passes its predicted positions in ascending track
+    id order against the frame's detections. `synth.evaluate` scores with
+    this same builder (ground-truth points as rows, track records as
+    columns).
 
     Raises:
         EmptyError: if either side is empty; callers branch to the pure
             birth / pure miss paths instead.
     """
-    if not predicted or not detections:
-        raise EmptyError("cost matrix needs at least one track and one detection")
-    track_xy = np.array([[px, py] for _, px, py in predicted])
-    det_xy = np.array([[d.x, d.y] for d in detections])
-    deltas = track_xy[:, None, :] - det_xy[None, :, :]
+    if len(rows) == 0 or len(cols) == 0:
+        raise EmptyError("cost matrix needs at least one row point and one column point")
+    row_xy = np.asarray(rows, dtype=float)
+    col_xy = np.asarray(cols, dtype=float)
+    deltas = row_xy[:, None, :] - col_xy[None, :, :]
     return CostMatrix(np.sqrt((deltas**2).sum(axis=2)))
 
 
@@ -192,7 +199,7 @@ class Tracker:
             OrderError: when the frame index does not increase, or a
                 detection is stamped with a different frame.
             UserError: when a detection coordinate is not finite or lies
-                beyond COORD_LIMIT.
+                beyond COORD_LIMIT, or its confidence is not in [0, 1].
         """
         cfg = self.config
         if frame <= self._last_frame:
@@ -209,63 +216,53 @@ class Tracker:
                     f"frame {frame}: detection at ({det.x}, {det.y}) must be finite "
                     f"and within +-{COORD_LIMIT:g}"
                 )
+            if not 0.0 <= det.confidence <= 1.0:
+                raise UserError(
+                    f"frame {frame}: detection confidence {det.confidence} must lie in [0, 1]"
+                )
         usable = [d for d in detections if d.confidence >= cfg.min_confidence]
 
         # 1. Predict every live track; row i of the cost matrix is self.tracks[i].
         states = [kfilter.predict(t.state, self.model) for t in self.tracks]
 
         # 2. Associate predictions with detections, then gate.
-        pairs: list[tuple[int, int]] = []
-        unmatched_rows: Sequence[int] = range(len(states))
-        unmatched_dets = usable
+        col_of_row: dict[int, int] = {}
         if states and usable:
-            predicted = [(t.id, s.x[0], s.x[1]) for t, s in zip(self.tracks, states)]
-            cost = build_cost_matrix(predicted, usable)
-            assignment = gate(solve(cost), cost, cfg.gate_px)
-            pairs = sorted(assignment.pairs)
-            unmatched_rows = sorted(assignment.unmatched_rows)
-            unmatched_dets = [usable[c] for c in sorted(assignment.unmatched_cols)]
+            cost = build_cost_matrix([s.x[:2] for s in states], [(d.x, d.y) for d in usable])
+            col_of_row = dict(sorted(gate(solve(cost), cost, cfg.gate_px).pairs))
 
-        # 3. Correct matched tracks; every leftover detection starts a belief.
-        for r, c in pairs:
+        # 3. Correct matched tracks; every unclaimed detection starts a belief.
+        for r, c in col_of_row.items():
             states[r], _ = kfilter.update(states[r], (usable[c].x, usable[c].y), self.model)
-        newborn = [kfilter.init_state(d.x, d.y, cfg.p0_pos, cfg.p0_vel) for d in unmatched_dets]
+        claimed = set(col_of_row.values())
+        unclaimed = [d for c, d in enumerate(usable) if c not in claimed]
+        newborn = [kfilter.init_state(d.x, d.y, cfg.p0_pos, cfg.p0_vel) for d in unclaimed]
 
-        # 4. Nothing below can fail: commit the states, run the confirmation counter.
-        for track, state in zip(self.tracks, states):
-            track.state = state
-        born: list[int] = []
+        # 4. Nothing below can fail: commit each track's state and hit or miss,
+        # keep the survivors, then append the newborn with consecutive ids.
+        survivors: list[Track] = []
         died: list[int] = []
-        for r, _ in pairs:
-            track = self.tracks[r]
-            track.hit_streak += 1
-            track.miss_streak = 0
-            if track.status is TrackStatus.TENTATIVE and track.hit_streak >= cfg.confirm_hits:
-                track.status = TrackStatus.CONFIRMED
-            track.source = RecordSource.MEASURED
-
-        # 5. Coast or kill unmatched tracks.
-        for r in unmatched_rows:
-            track = self.tracks[r]
-            track.miss_streak += 1
-            track.hit_streak = 0
-            if track.status is TrackStatus.TENTATIVE or track.miss_streak > cfg.max_misses:
-                track.status = TrackStatus.DEAD
-                died.append(track.id)
+        for r, (track, state) in enumerate(zip(self.tracks, states)):
+            track.state = state
+            if r in col_of_row:
+                track.hit_streak += 1
+                track.miss_streak = 0
+                if track.hit_streak >= cfg.confirm_hits:
+                    track.status = TrackStatus.CONFIRMED
             else:
-                track.source = RecordSource.COASTED
+                track.hit_streak = 0
+                track.miss_streak += 1
+                if track.status is TrackStatus.TENTATIVE or track.miss_streak > cfg.max_misses:
+                    died.append(track.id)
+                    continue
+            survivors.append(track)
+        born = list(range(self._next_id, self._next_id + len(newborn)))
+        status = TrackStatus.CONFIRMED if cfg.confirm_hits <= 1 else TrackStatus.TENTATIVE
+        survivors += [Track(i, state, status, hit_streak=1) for i, state in zip(born, newborn)]
+        self._next_id += len(newborn)
+        self.tracks = survivors
 
-        # 6. Every leftover detection births a Tentative track (ids ascend).
-        for state in newborn:
-            track = Track(id=self._next_id, state=state, hit_streak=1)
-            self._next_id += 1
-            if track.hit_streak >= cfg.confirm_hits:
-                track.status = TrackStatus.CONFIRMED
-            self.tracks.append(track)
-            born.append(track.id)
-
-        # 7. Report all surviving tracks, drop the dead.
-        self.tracks = [t for t in self.tracks if t.status is not TrackStatus.DEAD]
+        # 5. Report every live track.
         records = [
             TrackRecord(
                 track_id=t.id,

@@ -1,10 +1,18 @@
 """Command-line interface tests: exit codes, outputs, determinism."""
 
+import contextlib
+import dataclasses
 import os
+import tempfile
+from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack.cli import main
+from pointtrack.synth import ScenarioSpec
+from pointtrack.tracker import TrackerConfig
 
 SCENARIO = """\
 n_frames = 40
@@ -312,3 +320,102 @@ class TestPipelineDeterminism:
                 )
             )
         assert runs[0] == runs[1]
+
+
+# Every integer written into a drawn input is at most 30, so no run is long;
+# junk text and arbitrary bytes carry no digits for the same reason.
+_TOKENS = st.one_of(
+    st.integers(min_value=-3, max_value=30).map(str),
+    st.sampled_from(
+        ["nan", "inf", "-inf", "1e300", "-1e300", "0.5", "", " ", "T", "C", "D", "M", "P", "30x30"]
+    ),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
+_JUNK_LINES = st.lists(_TOKENS, min_size=1, max_size=9).map(",".join)
+
+# Lines shaped like each input's records, so that some files parse and the
+# run goes on past the parser.
+_NUMBERS = st.integers(min_value=1, max_value=30).map(str)
+_KEYS = [f.name for cls in (TrackerConfig, ScenarioSpec) for f in dataclasses.fields(cls)]
+_SHAPED = {
+    "detections": st.builds(
+        lambda xs, confidence: ",".join(xs + confidence),
+        st.lists(_NUMBERS, min_size=3, max_size=3),
+        st.lists(st.sampled_from(["0", "0.5", "1", "1.5", "-0.5"]), max_size=1),
+    ),
+    "ground_truth": st.lists(_NUMBERS, min_size=4, max_size=4).map(",".join),
+    "tracks": st.builds(
+        "{},{},{}".format,
+        st.lists(_NUMBERS, min_size=6, max_size=6).map(",".join),
+        st.sampled_from("TC"),
+        st.sampled_from("MP"),
+    ),
+    "config": st.builds(
+        "{} = {}".format, st.sampled_from(_KEYS + ["junk"]), st.one_of(_NUMBERS, _JUNK_LINES)
+    ),
+}
+
+
+# Half of the files end clean; the rest end in a junk line or in digit-free
+# arbitrary bytes.
+_TAILS = st.sampled_from(
+    [
+        st.just(b""),
+        st.just(b""),
+        _JUNK_LINES.map(lambda line: f"\n{line}".encode("utf-8")),
+        st.binary(max_size=40).filter(
+            lambda raw: not any(ch.isdigit() for ch in raw.decode("utf-8", "ignore"))
+        ),
+    ]
+).flatmap(lambda tail: tail)
+
+
+def _file(kind):
+    return st.builds(
+        lambda lines, tail: "\n".join(lines).encode("utf-8") + tail,
+        st.lists(_SHAPED[kind], max_size=4),
+        _TAILS,
+    )
+
+
+class TestInputContract:
+    """Whatever the input bytes, every command ends in a result or a located error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(["track", "synth", "eval", "render"]), data=st.data())
+    def test_exit_zero_or_two_naming_an_input(self, command, data):
+        with tempfile.TemporaryDirectory() as root:
+
+            def path(name):
+                return os.path.join(root, name)
+
+            def drawn(name, kind):
+                with open(path(name), "wb") as handle:
+                    handle.write(data.draw(_file(kind), label=name))
+                return path(name)
+
+            if command == "track":
+                inputs = [drawn("dets.csv", "detections"), drawn("config.cfg", "config")]
+                argv = ["track", inputs[0], path("out.csv"), "--config", inputs[1]]
+            elif command == "synth":
+                inputs = [drawn("spec.cfg", "config")]
+                argv = ["synth", inputs[0], path("dets.csv"), path("gt.csv")]
+            elif command == "eval":
+                inputs = [drawn("tracks.csv", "tracks"), drawn("gt.csv", "ground_truth")]
+                argv = ["eval", *inputs]
+            else:
+                inputs = [drawn("tracks.csv", "tracks")]
+                argv = ["render", inputs[0], path("svg")]
+
+            err = StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+                code = main(argv)
+
+            assert code in (0, 2), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert any(name in err.getvalue() for name in inputs), err.getvalue()
+            leftovers = [
+                name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")
+            ]
+            assert leftovers == []

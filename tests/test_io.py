@@ -157,6 +157,7 @@ class TestTrackFile:
         "text",
         [
             "1,1,0,0,0,0,X,M",
+            "1,1,0,0,0,0,D,M",
             "1,1,0,0,0,0,C,Q",
             "1,0,0,0,0,0,C,M",
             "1,1,0,0,0,0,C",

@@ -245,6 +245,30 @@ class TestEvaluate:
         assert metrics.fragmentation == 1
         assert metrics.misses == 2
 
+    def test_reacquisition_by_another_track_counts_switch_and_fragment(self):
+        # Track 1 holds target 1 on frames 1-2, nothing is reported on
+        # frames 3-4, and track 2 takes the target up on frames 5-7.
+        gt = GroundTruth(n_frames=7, frames={f: [(1, 0.0, 0.0)] for f in range(1, 8)})
+        results = [
+            FrameResult(
+                f,
+                [
+                    TrackRecord(
+                        1 if f <= 2 else 2, 0.0, 0.0, 0.0, 0.0,
+                        TrackStatus.CONFIRMED, RecordSource.MEASURED,
+                    )
+                ],
+                [],
+                [],
+            )
+            for f in (1, 2, 5, 6, 7)
+        ]
+        metrics = evaluate(results, gt)
+        assert metrics.id_switches == 1
+        assert metrics.fragmentation == 1
+        assert metrics.misses == 2
+        assert metrics.matches == 5
+
     def test_match_radius_gates_distant_hypotheses(self):
         frames = {1: [(1, 0.0, 0.0)]}
         gt = GroundTruth(n_frames=1, frames=frames)

@@ -40,9 +40,7 @@ def linear_detections(n_frames, start, velocity, first_frame=1):
 
 class TestBuildCostMatrix:
     def test_euclidean_entries(self):
-        cost = build_cost_matrix(
-            [(1, 0.0, 0.0), (2, 10.0, 0.0)], [det(1, 0, 3), det(1, 10, 4)]
-        )
+        cost = build_cost_matrix([(0.0, 0.0), (10.0, 0.0)], [(0.0, 3.0), (10.0, 4.0)])
         expected = [
             [3.0, math.sqrt(116.0)],
             [math.sqrt(109.0), 4.0],
@@ -50,18 +48,16 @@ class TestBuildCostMatrix:
         assert np.allclose(cost.values, expected)
 
     def test_coincident_pair_costs_zero(self):
-        cost = build_cost_matrix([(1, 5.0, 5.0)], [det(1, 5, 5)])
+        cost = build_cost_matrix([(5.0, 5.0)], [(5.0, 5.0)])
         assert cost.values.tolist() == [[0.0]]
 
     def test_single_distance(self):
-        cost = build_cost_matrix([(1, 0.0, 0.0)], [det(1, 6, 8)])
+        cost = build_cost_matrix([(0.0, 0.0)], [(6.0, 8.0)])
         assert cost.values.tolist() == [[10.0]]
 
     def test_rows_follow_given_order(self):
-        cost = build_cost_matrix(
-            [(7, 100.0, 0.0), (2, 0.0, 0.0)], [det(1, 0, 0)]
-        )
-        assert cost.values[:, 0].tolist() == [100.0, 0.0]  # id 7 stays first
+        cost = build_cost_matrix([(100.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)])
+        assert cost.values[:, 0].tolist() == [100.0, 0.0]  # the far point stays first
 
     def test_empty_sides_rejected(self):
         with pytest.raises(EmptyError):
@@ -186,6 +182,20 @@ class TestStep:
     def test_detection_on_the_coordinate_limit_accepted(self):
         result = Tracker().step(1, [det(1, COORD_LIMIT, -COORD_LIMIT)])
         assert (result.records[0].x, result.records[0].y) == (COORD_LIMIT, -COORD_LIMIT)
+
+    @pytest.mark.parametrize("confidence", [math.nan, -3.0, 5.0])
+    def test_confidence_outside_unit_interval_rejected_before_any_change(self, confidence):
+        tracker = Tracker(TrackerConfig(confirm_hits=1))
+        tracker.step(1, [det(1, 5, 5)])
+        before = snapshot(tracker)
+        with pytest.raises(UserError, match="frame 2") as info:
+            tracker.step(2, [det(2, 6, 5), det(2, 50, 50, confidence=confidence)])
+        assert repr(confidence) in str(info.value)
+        assert snapshot(tracker) == before
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0])
+    def test_confidence_on_the_unit_interval_bounds_accepted(self, confidence):
+        assert Tracker().step(1, [det(1, 0, 0, confidence=confidence)]).born == [1]
 
     def test_low_confidence_detections_dropped(self):
         tracker = Tracker(TrackerConfig(min_confidence=0.5))
