@@ -1,7 +1,10 @@
 """Constant-velocity Kalman filtering for planar point targets.
 
-One filter instance tracks one target. The state is [px, py, vx, vy]
-(pixels and pixels/frame); the measurement is the observed point position.
+A state is one target's belief or a stack of them: `x` has shape (..., 4)
+and `P` shape (..., 4, 4), and `predict` and `update` treat every leading
+index as an independent target, so a single state is simply the stack with
+no leading axis. A target's state is [px, py, vx, vy] (pixels and
+pixels/frame); the measurement is the observed point position.
 Time advances in whole frames (dt = 1), so the transition matrix moves each
 position by its velocity and leaves the velocity unchanged, perturbed only
 by process noise.
@@ -10,7 +13,9 @@ Numerical conventions, chosen for long-run stability:
 
 * covariance updates use the Joseph form (I-KH) P (I-KH)' + K R K',
 * every new covariance is explicitly symmetrized,
-* the 2x2 innovation covariance is inverted in closed form.
+* the 2x2 innovation covariance is inverted in closed form,
+* stacks are multiplied with `@` only, so each target's arithmetic is the
+  same whether it is filtered alone or in a stack.
 """
 
 from __future__ import annotations
@@ -41,7 +46,11 @@ class MotionModel:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Gaussian belief over one target: mean x = [px, py, vx, vy] and covariance P."""
+    """Gaussian belief over one target or a stack of them.
+
+    Mean x = [px, py, vx, vy] with shape (..., 4) and covariance P with
+    shape (..., 4, 4); row i of a stack is one target.
+    """
 
     x: np.ndarray
     P: np.ndarray
@@ -107,49 +116,57 @@ def init_state(x: float, y: float, p0_pos: float = 10.0, p0_vel: float = 100.0) 
     return KalmanState(x=mean, P=cov)
 
 
+def _transpose(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
 def _symmetrize(P: np.ndarray) -> np.ndarray:
-    return (P + P.T) / 2.0
+    return (P + _transpose(P)) / 2.0
 
 
 def predict(state: KalmanState, model: MotionModel) -> KalmanState:
     """Advance the belief one frame: x' = F x, P' = F P F' + Q."""
-    x = model.F @ state.x
-    P = _symmetrize(model.F @ state.P @ model.F.T + model.Q)
+    F = model.F
+    x = state.x @ F.T
+    P = _symmetrize(F @ state.P @ F.T + model.Q)
     return KalmanState(x=x, P=P)
 
 
 def _invert_2x2(S: np.ndarray) -> np.ndarray:
-    a, b = S[0, 0], S[0, 1]
-    c, d = S[1, 0], S[1, 1]
+    a, b = S[..., 0, 0], S[..., 0, 1]
+    c, d = S[..., 1, 0], S[..., 1, 1]
     det = a * d - b * c
-    if not np.isfinite(det) or abs(det) < 1e-12:
+    if not np.all(np.isfinite(det) & (np.abs(det) >= 1e-12)):
         raise NumericalError(
             "innovation covariance is singular; check the measurement noise R"
         )
-    return np.array([[d, -b], [-c, a]]) / det
+    adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(S.shape)
+    return adjugate / det[..., None, None]
 
 
 def update(
     state: KalmanState, z: np.ndarray, model: MotionModel
 ) -> tuple[KalmanState, np.ndarray]:
-    """Correct the belief with a position measurement.
+    """Correct the belief with a position measurement, one per target.
 
     Computes the innovation y = z - H x, gain K = P H' S^-1 with
-    S = H P H' + R, then the Joseph-form covariance update. Returns the
-    corrected state and the innovation.
+    S = H P H' + R, then the Joseph-form covariance update. `z` has shape
+    (..., 2) matching the state's leading axes. Returns the corrected state
+    and the innovation, shape (..., 2).
 
     Raises:
-        NumericalError: when S is singular beyond tolerance (R misconfigured).
+        NumericalError: when any target's S is singular beyond tolerance
+            (R misconfigured).
     """
-    z = np.asarray(z, dtype=float).reshape(MEAS_DIM)
     x, P = state.x, state.P
     H, R = model.H, model.R
+    z = np.asarray(z, dtype=float).reshape(x.shape[:-1] + (MEAS_DIM,))
 
-    innovation = z - H @ x
+    innovation = z - x @ H.T
     S = H @ P @ H.T + R
     K = P @ H.T @ _invert_2x2(S)
 
-    x_new = x + K @ innovation
+    x_new = x + (K @ innovation[..., None])[..., 0]
     I_KH = np.eye(STATE_DIM) - K @ H
-    P_new = _symmetrize(I_KH @ P @ I_KH.T + K @ R @ K.T)
+    P_new = _symmetrize(I_KH @ P @ _transpose(I_KH) + K @ R @ _transpose(K))
     return KalmanState(x=x_new, P=P_new), innovation

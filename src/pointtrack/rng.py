@@ -21,7 +21,9 @@ Derived draws, each defined in terms of core outputs:
 * ``gauss()``     -- Box-Muller, trigonometric form, two uniforms per call
   (no caching of the sine branch): sqrt(-2 ln(1 - u1)) * cos(2 pi u2).
 * ``poisson(r)``  -- Knuth's product-of-uniforms method; a zero or negative
-  rate consumes nothing and returns 0.
+  rate consumes nothing and returns 0. The method needs exp(-r) to stay a
+  normal double, so callers keep r at or below ``POISSON_RATE_MAX``; above
+  ~745 it underflows to 0 and the count stops following r.
 
 Reference outputs for seed 0: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
 0x06C45D188009454F.
@@ -35,6 +37,10 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Largest rate at which `poisson` still follows its rate: exp(-700) ~ 1e-304
+# is a normal double, while exp(-745) underflows to 0.
+POISSON_RATE_MAX = 700.0
 
 
 class SplitMix64:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .assignment import solve
-from .errors import AlignmentError, SpecError
-from .rng import SplitMix64
+from .errors import AlignmentError, SpecError, UserError
+from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
     COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, build_cost_matrix, gate
 )
@@ -70,8 +70,10 @@ class ScenarioSpec:
             raise SpecError("noise_sigma must be finite and nonnegative")
         if not 0.0 <= self.miss_prob <= 1.0:
             raise SpecError("miss_prob must lie in [0, 1]")
-        if not (math.isfinite(self.clutter_rate) and self.clutter_rate >= 0):
-            raise SpecError("clutter_rate must be finite and nonnegative")
+        if not 0.0 <= self.clutter_rate <= POISSON_RATE_MAX:
+            raise SpecError(
+                f"clutter_rate must lie in [0, {POISSON_RATE_MAX:g}], got {self.clutter_rate}"
+            )
         if not all(0 < side <= COORD_LIMIT for side in self.bounds):
             raise SpecError(f"bounds must be positive and at most {COORD_LIMIT:g}")
         margin = _GAUSS_BOUND * self.noise_sigma
@@ -97,10 +99,24 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Exact target positions per frame: lists of (gt_id, x, y), each gt_id once per frame."""
+    """Exact target positions per frame: lists of (gt_id, x, y).
+
+    Each gt_id is at least 1 and appears once per frame; construction
+    raises `UserError` naming the frame and the id otherwise.
+    """
 
     n_frames: int
     frames: dict[int, list[tuple[int, float, float]]]
+
+    def __post_init__(self):
+        for frame, points in self.frames.items():
+            seen: set[int] = set()
+            for gt_id, _, _ in points:
+                if gt_id < 1:
+                    raise UserError(f"frame {frame}: gt_id must be >= 1, got {gt_id}")
+                if gt_id in seen:
+                    raise UserError(f"gt_id {gt_id} appears twice in frame {frame}")
+                seen.add(gt_id)
 
     def at(self, frame: int) -> list[tuple[int, float, float]]:
         return self.frames.get(frame, [])

@@ -6,12 +6,14 @@ solved exactly and hard-gated into one row -> column map, matched tracks
 are corrected with their measurement, unmatched tracks coast on the
 prediction, and unclaimed detections give birth to new tracks. A step
 computes all of this before it changes any track, so a step that raises
-leaves the tracker as it was; one commit pass then writes every track's
-state and hit or miss and drops the tracks that die.
+leaves the tracker as it was; one commit pass then records every track's
+hit or miss, drops the tracks that die and builds the next belief stack.
 
-`Tracker.tracks` is always in ascending id order, and row i of the cost
-matrix is `tracks[i]`: `build_cost_matrix` keeps rows in the order given,
-so assignment ties go to the older track.
+`Tracker.tracks` is always in ascending id order. All live beliefs are one
+stacked `KalmanState`, `Tracker.belief`, whose row i is `tracks[i]`, so one
+`kfilter.predict` and one `kfilter.update` call serve the whole frame. Row
+i of the cost matrix is `tracks[i]` too: `build_cost_matrix` keeps rows in
+the order given, so assignment ties go to the older track.
 
 Lifecycle: tracks are born Tentative, become Confirmed after `confirm_hits`
 consecutive hits, and die after `max_misses` consecutive misses; a Tentative
@@ -125,10 +127,9 @@ class TrackerConfig:
 
 @dataclass
 class Track:
-    """Internal per-target bookkeeping around the Kalman belief."""
+    """Internal per-target bookkeeping; the belief is a row of `Tracker.belief`."""
 
     id: int
-    state: kfilter.KalmanState
     status: TrackStatus = TrackStatus.TENTATIVE
     hit_streak: int = 0
     miss_streak: int = 0
@@ -189,6 +190,10 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.model = kfilter.make_cv_model(self.config.sigma_a, self.config.sigma_z)
         self.tracks: list[Track] = []
+        self.belief = kfilter.KalmanState(
+            x=np.empty((0, kfilter.STATE_DIM)),
+            P=np.empty((0, kfilter.STATE_DIM, kfilter.STATE_DIM)),
+        )
         self._next_id = 1
         self._last_frame = 0
 
@@ -222,28 +227,36 @@ class Tracker:
                 )
         usable = [d for d in detections if d.confidence >= cfg.min_confidence]
 
-        # 1. Predict every live track; row i of the cost matrix is self.tracks[i].
-        states = [kfilter.predict(t.state, self.model) for t in self.tracks]
+        # 1. Predict every live track at once; row i is self.tracks[i].
+        belief = self.belief
+        if self.tracks:
+            belief = kfilter.predict(belief, self.model)
+        x, P = belief.x, belief.P
 
         # 2. Associate predictions with detections, then gate.
         col_of_row: dict[int, int] = {}
-        if states and usable:
-            cost = build_cost_matrix([s.x[:2] for s in states], [(d.x, d.y) for d in usable])
+        if self.tracks and usable:
+            cost = build_cost_matrix(x[:, :2], [(d.x, d.y) for d in usable])
             col_of_row = dict(sorted(gate(solve(cost), cost, cfg.gate_px).pairs))
 
-        # 3. Correct matched tracks; every unclaimed detection starts a belief.
-        for r, c in col_of_row.items():
-            states[r], _ = kfilter.update(states[r], (usable[c].x, usable[c].y), self.model)
+        # 3. Correct the matched rows in one call; every unclaimed detection
+        # starts a belief.
+        if col_of_row:
+            rows = list(col_of_row)
+            z = [(usable[c].x, usable[c].y) for c in col_of_row.values()]
+            corrected, _ = kfilter.update(kfilter.KalmanState(x[rows], P[rows]), z, self.model)
+            x, P = x.copy(), P.copy()
+            x[rows], P[rows] = corrected.x, corrected.P
         claimed = set(col_of_row.values())
         unclaimed = [d for c, d in enumerate(usable) if c not in claimed]
         newborn = [kfilter.init_state(d.x, d.y, cfg.p0_pos, cfg.p0_vel) for d in unclaimed]
 
-        # 4. Nothing below can fail: commit each track's state and hit or miss,
-        # keep the survivors, then append the newborn with consecutive ids.
+        # 4. Nothing below can fail: commit each track's hit or miss, keep the
+        # survivors' rows, then append the newborn with consecutive ids.
         survivors: list[Track] = []
+        keep: list[int] = []
         died: list[int] = []
-        for r, (track, state) in enumerate(zip(self.tracks, states)):
-            track.state = state
+        for r, track in enumerate(self.tracks):
             if r in col_of_row:
                 track.hit_streak += 1
                 track.miss_streak = 0
@@ -256,24 +269,21 @@ class Tracker:
                     died.append(track.id)
                     continue
             survivors.append(track)
+            keep.append(r)
         born = list(range(self._next_id, self._next_id + len(newborn)))
         status = TrackStatus.CONFIRMED if cfg.confirm_hits <= 1 else TrackStatus.TENTATIVE
-        survivors += [Track(i, state, status, hit_streak=1) for i, state in zip(born, newborn)]
+        survivors += [Track(i, status, hit_streak=1) for i in born]
         self._next_id += len(newborn)
         self.tracks = survivors
+        self.belief = kfilter.KalmanState(
+            x=np.concatenate([x[keep], *(s.x[None] for s in newborn)]),
+            P=np.concatenate([P[keep], *(s.P[None] for s in newborn)]),
+        )
 
         # 5. Report every live track.
         records = [
-            TrackRecord(
-                track_id=t.id,
-                x=float(t.state.x[0]),
-                y=float(t.state.x[1]),
-                vx=float(t.state.x[2]),
-                vy=float(t.state.x[3]),
-                status=t.status,
-                source=t.source,
-            )
-            for t in self.tracks
+            TrackRecord(t.id, px, py, vx, vy, t.status, t.source)
+            for t, (px, py, vx, vy) in zip(self.tracks, self.belief.x.tolist())
         ]
         self._last_frame = frame
         return FrameResult(frame=frame, records=records, born=born, died=died)

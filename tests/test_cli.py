@@ -200,6 +200,14 @@ class TestSynth:
         assert capsys.readouterr().err.startswith("error:")
         assert not dets.exists()
 
+    def test_clutter_rate_beyond_poisson_range_names_the_spec_file(self, tmp_path, capsys):
+        cfg = tmp_path / "busy.cfg"
+        cfg.write_text("n_frames = 1\nclutter_rate = 5000\n")
+        dets = tmp_path / "d.csv"
+        assert main(["synth", str(cfg), str(dets), str(tmp_path / "g.csv")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: clutter_rate must lie in ")
+        assert not dets.exists()
+
     def test_rejected_spec_value_names_the_spec_file(self, tmp_path, capsys):
         cfg = tmp_path / "far.cfg"
         cfg.write_text("n_frames = 10\ntargets = 1,3,1e300,0,1e300,0\n")
@@ -239,6 +247,14 @@ class TestEval:
         assert main(["eval", str(tracks), str(gt)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_repeated_gt_id_is_located_in_the_file(self, tmp_path, capsys):
+        gt = tmp_path / "gt.csv"
+        tracks = tmp_path / "tracks.csv"
+        gt.write_text("1,1,0.0,0.0\n1,1,100.0,0.0\n")
+        tracks.write_text("1,1,0.0,0.0,0.0,0.0,C,M\n")
+        assert main(["eval", str(tracks), str(gt)]) == 2
+        assert capsys.readouterr().err == f"error: {gt}:line 2: gt_id 1 appears twice in frame 1\n"
 
     def test_out_of_range_track_coordinate_exits_two(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"

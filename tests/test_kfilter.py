@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pointtrack.errors import NumericalError, ParamError
 from pointtrack.kfilter import (
@@ -20,6 +23,20 @@ def random_state(rng, scale=50.0):
     root = rng.normal(0.0, 3.0, size=(4, 4))
     P = root @ root.T + 1e-6 * np.eye(4)
     return KalmanState(x=x, P=P)
+
+
+@st.composite
+def stacks(draw):
+    """N = 1..8 beliefs with general SPD covariances, one measurement each."""
+    n = draw(st.integers(1, 8))
+    x = draw(arrays(float, (n, 4), elements=st.floats(-1e4, 1e4)))
+    root = draw(arrays(float, (n, 4, 4), elements=st.floats(-10.0, 10.0)))
+    P = root @ np.swapaxes(root, -1, -2) + 1e-3 * np.eye(4)
+    z = draw(arrays(float, (n, 2), elements=st.floats(-1e4, 1e4)))
+    return KalmanState(x=x, P=P), z
+
+
+sigmas = st.floats(1e-2, 1e2)
 
 
 class TestModelConstruction:
@@ -200,3 +217,36 @@ class TestNumericalInvariants:
         assert errors[-1] < 1e-6
         for earlier, later in zip(innovations[2:], innovations[3:]):
             assert later <= earlier
+
+
+class TestStackedStates:
+    """A stack of beliefs is filtered exactly as its rows would be one by one."""
+
+    @given(stack=stacks(), sigma_a=sigmas, sigma_z=sigmas)
+    def test_stack_equals_single_state_calls(self, stack, sigma_a, sigma_z):
+        state, z = stack
+        model = make_cv_model(sigma_a, sigma_z)
+        predicted = predict(state, model)
+        updated, innovation = update(state, z, model)
+        assert innovation.shape == z.shape
+        for i in range(len(z)):
+            one = KalmanState(x=state.x[i], P=state.P[i])
+            alone = predict(one, model)
+            assert np.array_equal(predicted.x[i], alone.x)
+            assert np.array_equal(predicted.P[i], alone.P)
+            alone, alone_innovation = update(one, z[i], model)
+            assert np.array_equal(updated.x[i], alone.x)
+            assert np.array_equal(updated.P[i], alone.P)
+            assert np.array_equal(innovation[i], alone_innovation)
+
+    @given(stack=stacks(), data=st.data(), bad=st.sampled_from([0.0, np.nan]))
+    def test_one_singular_innovation_covariance_fails_the_stack(self, stack, data, bad):
+        state, z = stack
+        k = data.draw(st.integers(0, len(z) - 1))
+        P = state.P.copy()
+        P[k] = bad
+        model = make_cv_model()
+        noiseless = MotionModel(F=model.F, Q=model.Q, H=model.H, R=np.zeros((2, 2)))
+        update(state, z, noiseless)  # the intact stack has no singular S
+        with pytest.raises(NumericalError):
+            update(KalmanState(x=state.x, P=P), z, noiseless)

@@ -6,9 +6,12 @@ tests pin those lookups, so a refactor that reroutes a call fails here
 instead of silently moving time from one layer's metric to another's.
 """
 
+import hashlib
+
 import pytest
 
 from pointtrack import kfilter, synth
+from pointtrack.io import write_tracks
 from pointtrack import tracker as tracker_module
 from pointtrack.synth import ScenarioSpec, TargetPath, evaluate, generate
 from pointtrack.tracker import RecordSource, TrackStatus, group_by_frame, run
@@ -49,6 +52,14 @@ def counting(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def test_scene_track_bytes_are_pinned(scene):
+    # A layer that reorders floating-point work must not move a printed digit.
+    _, _, results = scene
+    assert hashlib.sha256(write_tracks(results).encode()).hexdigest() == (
+        "bb9f895d167026e65d691eec76421305d383498395bdb174a91028d8e779cedd"
+    )
 
 
 def test_evaluate_solves_and_gates_once_per_scored_frame(monkeypatch, scene):
@@ -98,16 +109,23 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
     associated = sum(
         1 for fr, n in zip(results, tracks_in) if n and stream.get(fr.frame)
     )
-    updates = sum(
-        1
+    updates_per_frame = [
+        sum(
+            1
+            for r in fr.records
+            if r.source is RecordSource.MEASURED and r.track_id not in fr.born
+        )
         for fr in results
-        for r in fr.records
-        if r.source is RecordSource.MEASURED and r.track_id not in fr.born
-    )
+    ]
+    updates = sum(updates_per_frame)
     assert associated > 0 and updates > 0
     assert len(calls["build_cost_matrix"]) == associated
     assert len(calls["solve"]) == associated
     assert len(calls["gate"]) == associated
-    assert len(calls["predict"]) == sum(tracks_in)
-    assert len(calls["update"]) == updates
+    # One stacked call per frame that has rows to filter, covering them all.
+    assert len(calls["predict"]) == sum(1 for n in tracks_in if n)
+    assert sum(len(args[0].x) for args in calls["predict"]) == sum(tracks_in)
+    updated = [n for n in updates_per_frame if n]
+    assert len(calls["update"]) == len(updated)
+    assert sum(len(args[0].x) for args in calls["update"]) == sum(updated) == updates
     assert len(calls["init_state"]) == sum(len(fr.born) for fr in results)

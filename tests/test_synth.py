@@ -2,7 +2,7 @@
 
 import pytest
 
-from pointtrack.errors import AlignmentError, SpecError
+from pointtrack.errors import AlignmentError, SpecError, UserError
 from pointtrack.io import (
     COORD_LIMIT,
     parse_detections,
@@ -10,7 +10,7 @@ from pointtrack.io import (
     write_detections,
     write_ground_truth,
 )
-from pointtrack.rng import SplitMix64
+from pointtrack.rng import POISSON_RATE_MAX, SplitMix64
 from pointtrack.synth import (
     GroundTruth,
     ScenarioSpec,
@@ -148,11 +148,20 @@ class TestGenerate:
             {"bounds": (float("nan"), 100.0)},
             {"noise_sigma": float("nan")},
             {"clutter_rate": float("inf")},
+            # Past POISSON_RATE_MAX the Poisson draw stops following the rate:
+            # SplitMix64(1).poisson(r) is 721 for both r = 1000 and 5000.
+            {"clutter_rate": 700.5},
+            {"clutter_rate": 5000.0},
         ],
     )
     def test_invalid_specs_rejected(self, overrides):
         with pytest.raises(SpecError):
             spec_with(**overrides)
+
+    def test_largest_clutter_rate_keeps_its_pinned_draws(self):
+        spec = spec_with(targets=(), n_frames=1, clutter_rate=POISSON_RATE_MAX, seed=1)
+        _, detections = generate(spec)
+        assert len(detections) == SplitMix64(1).poisson(700.0) == 680
 
     @pytest.mark.parametrize(
         "target",
@@ -175,6 +184,23 @@ class TestGenerate:
         parsed = parse_ground_truth(write_ground_truth(gt))
         assert parsed.frames[1] == [(1, COORD_LIMIT, -COORD_LIMIT)]
         assert parsed.frames[3] == [(1, -COORD_LIMIT, COORD_LIMIT)]
+
+
+class TestGroundTruth:
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            # Accepting this would let evaluate score id_switches == 3 and
+            # mota == 0.25 against tracks sitting exactly on both points.
+            ([(1, 0.0, 0.0), (1, 100.0, 0.0)], "gt_id 1 appears twice in frame 2"),
+            ([(0, 0.0, 0.0)], "frame 2: gt_id must be >= 1, got 0"),
+            ([(2, 0.0, 0.0), (-3, 5.0, 5.0)], "frame 2: gt_id must be >= 1, got -3"),
+        ],
+    )
+    def test_bad_or_repeated_gt_id_named_with_its_frame(self, points, message):
+        with pytest.raises(UserError) as info:
+            GroundTruth(n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: points})
+        assert str(info.value) == message
 
 
 class TestEvaluate:

@@ -209,18 +209,17 @@ def snapshot(tracker):
     return (
         tracker._last_frame,
         tracker._next_id,
-        [
-            (t.id, t.state.x.tolist(), t.state.P.tolist(), t.status, t.hit_streak,
-             t.miss_streak, t.source)
-            for t in tracker.tracks
-        ],
+        tracker.belief.x.tolist(),
+        tracker.belief.P.tolist(),
+        [(t.id, t.status, t.hit_streak, t.miss_streak, t.source) for t in tracker.tracks],
     )
 
 
 class TestFailedStep:
     """A step that raises partway through leaves the tracker as it was."""
 
-    # Frame 3 predicts tracks 1 and 2, updates both and births two tracks.
+    # Frame 3 predicts tracks 1 and 2 in one call, updates both in one call
+    # (one stacked 2x2 inversion) and births two tracks.
     FRAMES = {
         1: [det(1, 0, 0), det(1, 100, 0)],
         2: [det(2, 1, 0), det(2, 101, 0)],
@@ -230,12 +229,12 @@ class TestFailedStep:
     @pytest.mark.parametrize(
         "module, name, failing_call",
         [
-            (kfilter, "predict", 2),
+            (kfilter, "predict", 1),
             (tracker_module, "build_cost_matrix", 1),
             (tracker_module, "solve", 1),
             (tracker_module, "gate", 1),
             (kfilter, "update", 1),
-            (kfilter, "update", 2),
+            (kfilter, "_invert_2x2", 1),
             (kfilter, "init_state", 1),
             (kfilter, "init_state", 2),
         ],
