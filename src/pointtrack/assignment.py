@@ -391,7 +391,9 @@ def brute_force_solve(cost: CostMatrix) -> Assignment:
 
     Enumerates every injective row-to-column map (or column-to-row when
     there are more rows than columns) and keeps the cheapest, breaking ties
-    by the same lexicographic rule as ``solve``. Refuses matrices whose
+    by the same lexicographic rule as ``solve``. Each candidate's costs are
+    summed in ascending order, so candidates with equal multisets of costs
+    tie exactly, whatever order their pairs come in. Refuses matrices whose
     smaller dimension exceeds BRUTE_FORCE_CAP.
     """
     n_rows, n_cols = cost.n_rows, cost.n_cols
@@ -403,7 +405,7 @@ def brute_force_solve(cost: CostMatrix) -> Assignment:
     v = cost.values
     if n_rows <= n_cols:
         perms = np.array(list(itertools.permutations(range(n_cols), n_rows)))
-        totals = v[np.arange(n_rows)[None, :], perms].sum(axis=1)
+        totals = np.sort(v[np.arange(n_rows)[None, :], perms], axis=1).sum(axis=1)
         # permutations() is lexicographic and rows are taken in order, so the
         # first minimum is already the tie-broken winner.
         best = perms[int(np.argmin(totals))]
@@ -415,7 +417,7 @@ def brute_force_solve(cost: CostMatrix) -> Assignment:
             for rows in itertools.combinations(range(n_rows), n_cols)
             for cols in itertools.permutations(range(n_cols))
         ]
-        totals = np.array([sum(v[r, c] for r, c in cand) for cand in candidates])
+        totals = np.array([sum(sorted(v[r, c] for r, c in cand)) for cand in candidates])
         minimum = totals.min()
         # Enumeration order is not pair-lexicographic here, so compare the
         # tied candidates explicitly.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .assignment import solve
-from .errors import AlignmentError, SpecError, UserError
+from .errors import AlignmentError, ParamError, SpecError, UserError
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
     COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, build_cost_matrix, gate
@@ -215,8 +215,11 @@ def evaluate(
     records there count as false positives.
 
     Raises:
+        ParamError: when `match_radius` is not finite and positive.
         AlignmentError: on duplicate or non-positive result frames.
     """
+    if not (math.isfinite(match_radius) and match_radius > 0):
+        raise ParamError(f"match_radius must be finite and positive, got {match_radius}")
     by_frame = _records_by_frame(results, include_tentative)
     horizon = max(gt.n_frames, max(by_frame, default=0))
 

@@ -1,13 +1,14 @@
 """Per-frame tracking loop: predict, associate, update, manage lifecycles.
 
 Every live track is predicted one frame ahead, a Euclidean cost matrix is
-built between predicted positions and the frame's detections, the matrix is
-solved exactly and hard-gated into one row -> column map, matched tracks
-are corrected with their measurement, unmatched tracks coast on the
-prediction, and unclaimed detections give birth to new tracks. A step
-computes all of this before it changes any track, so a step that raises
-leaves the tracker as it was; one commit pass then records every track's
-hit or miss, drops the tracks that die and builds the next belief stack.
+built between predicted positions and the frame's detections, `associate`
+turns it into the in-gate matching of least total cost (one row -> column
+map), matched tracks are corrected with their measurement, unmatched tracks
+coast on the prediction, and unclaimed detections give birth to new
+tracks. A step computes all of this before it changes any track, so a step
+that raises leaves the tracker as it was; one commit pass then records
+every track's hit or miss, drops the tracks that die and builds the next
+belief stack.
 
 `Tracker.tracks` is always in ascending id order. All live beliefs are one
 stacked `KalmanState`, `Tracker.belief`, whose row i is `tracks[i]`, so one
@@ -179,6 +180,42 @@ def gate(assignment: Assignment, cost: CostMatrix, gate_px: float) -> Assignment
     )
 
 
+def associate(cost: CostMatrix, gate_px: float) -> dict[int, int]:
+    """Least-cost matching over the in-gate pairs, as a row -> column map.
+
+    Pairs with cost <= `gate_px` are in gate. Every out-of-gate cell is
+    priced at C = gate_px + 1, the cost of leaving a row unmatched (as in
+    DeepSORT's `min_cost_matching`, Wojke et al. 2017), so the result
+    minimizes sum(c - C) over in-gate matchings: out-of-gate distances
+    cannot steer which in-gate pairs are chosen. C is above every in-gate
+    cost. Only a `gate_px` of 2**53 or more absorbs the + 1, and every
+    distance the tracker builds is in such a gate (coordinates are bounded
+    by COORD_LIMIT), so then nothing is filled.
+
+    A lone pair (the only in-gate entry of both its row and its column) is
+    in every optimal matching and is taken directly. Every other row and
+    column with an in-gate entry forms one constant-filled block, solved
+    and gated once; with no such rows, `solve` and `gate` are not called.
+    Within the block, ties follow `solve`'s lexicographic rule, so with rows
+    in track order the older track wins a shared detection. Rows come out
+    ascending.
+    """
+    inside = cost.values <= gate_px
+    row_degree = inside.sum(axis=1)
+    col_degree = inside.sum(axis=0)
+    lone = inside & (row_degree == 1)[:, None] & (col_degree == 1)[None, :]
+    lone_rows, lone_cols = np.nonzero(lone)
+    col_of_row = dict(zip(lone_rows.tolist(), lone_cols.tolist()))
+    if len(col_of_row) < row_degree.sum():
+        block_rows = np.flatnonzero(row_degree > lone.sum(axis=1))
+        block_cols = np.flatnonzero(col_degree > lone.sum(axis=0))
+        values = cost.values[np.ix_(block_rows, block_cols)]
+        block = CostMatrix(np.where(values <= gate_px, values, gate_px + 1.0))
+        for r, c in gate(solve(block), block, gate_px).pairs:
+            col_of_row[int(block_rows[r])] = int(block_cols[c])
+    return dict(sorted(col_of_row.items()))
+
+
 class Tracker:
     """Sequential multi-target tracker; feed frames in strictly increasing order.
 
@@ -233,11 +270,11 @@ class Tracker:
             belief = kfilter.predict(belief, self.model)
         x, P = belief.x, belief.P
 
-        # 2. Associate predictions with detections, then gate.
+        # 2. Associate predictions with detections inside the gate.
         col_of_row: dict[int, int] = {}
         if self.tracks and usable:
             cost = build_cost_matrix(x[:, :2], [(d.x, d.y) for d in usable])
-            col_of_row = dict(sorted(gate(solve(cost), cost, cfg.gate_px).pairs))
+            col_of_row = associate(cost, cfg.gate_px)
 
         # 3. Correct the matched rows in one call; every unclaimed detection
         # starts a belief.

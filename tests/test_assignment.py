@@ -241,6 +241,20 @@ class TestBruteForce:
         wide = CostMatrix(np.ones((2, BRUTE_FORCE_CAP + 3)))
         assert brute_force_solve(wide).total_cost == 2.0
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[51, 51, 51], [51, 51, 1.468], [51, 4.751286, 51], [51, 51, 51]],
+            [[51, 51, 1.468, 51], [51, 4.751286, 1.468, 51], [51, 4.751286, 51, 51]],
+        ],
+        ids=["tall", "wide"],
+    )
+    def test_equal_cost_multisets_tie_exactly(self, rows):
+        # Several optima use the costs {51, 1.468, 4.751286}; summed in row
+        # order they differ by one ulp. The lexicographically smallest wins.
+        cost = matrix(rows)
+        assert brute_force_solve(cost).pairs == solve(cost).pairs == {(0, 0), (1, 2), (2, 1)}
+
 
 class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)

@@ -276,6 +276,19 @@ class TestEval:
         assert "false_positives=1" in out
         assert "matches=1" in out
 
+    @pytest.mark.parametrize("radius", ["nan", "-5", "0", "inf"])
+    def test_radius_must_be_finite_and_positive(self, tmp_path, capsys, radius):
+        gt = tmp_path / "gt.csv"
+        tracks = tmp_path / "tracks.csv"
+        gt.write_text("1,1,5.0,5.0\n")
+        tracks.write_text("1,1,5.0,5.0,0.0,0.0,C,M\n")
+        assert main(["eval", str(tracks), str(gt), "--radius", radius]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: match_radius must be finite and positive, got {float(radius)}\n"
+        )
+
     def test_include_tentative_flag(self, tmp_path, capsys):
         gt = tmp_path / "gt.csv"
         tracks = tmp_path / "tracks.csv"

@@ -8,13 +8,22 @@ instead of silently moving time from one layer's metric to another's.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from pointtrack import kfilter, synth
 from pointtrack.io import write_tracks
 from pointtrack import tracker as tracker_module
 from pointtrack.synth import ScenarioSpec, TargetPath, evaluate, generate
-from pointtrack.tracker import RecordSource, TrackStatus, group_by_frame, run
+from pointtrack.tracker import (
+    Detection,
+    RecordSource,
+    TrackerConfig,
+    TrackStatus,
+    build_cost_matrix,
+    group_by_frame,
+    run,
+)
 
 # Targets are born after frame 1 and die before the last frame, with misses
 # and clutter, so some frames have ground truth but no confirmed record and
@@ -90,7 +99,15 @@ def test_evaluate_does_not_reach_the_tracker_cost_builder(monkeypatch, scene):
 
 
 def test_step_reaches_each_patched_name(monkeypatch, scene):
-    _, stream, expected = scene
+    _, stream, _ = scene
+    # A second detection 3 px from each frame's first one on frames 20-24
+    # puts two detections in one gate, so those frames reach `solve`.
+    stream = {
+        f: dets + ([Detection(f, dets[0].x + 3.0, dets[0].y)] if 20 <= f < 25 else [])
+        for f, dets in stream.items()
+    }
+    frame_range = (1, SPEC.n_frames + 10)
+    expected = run(stream, frame_range=frame_range)
     calls = {
         name: counting(monkeypatch, module, name)
         for module, name in [
@@ -102,7 +119,7 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
             (kfilter, "init_state"),
         ]
     }
-    results = run(stream, frame_range=(1, SPEC.n_frames + 10))
+    results = run(stream, frame_range=frame_range)
     assert results == expected
 
     tracks_in = [len(fr.records) - len(fr.born) + len(fr.died) for fr in results]
@@ -120,8 +137,19 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
     updates = sum(updates_per_frame)
     assert associated > 0 and updates > 0
     assert len(calls["build_cost_matrix"]) == associated
-    assert len(calls["solve"]) == associated
-    assert len(calls["gate"]) == associated
+    # `solve` and `gate` run once per frame with an in-gate entry that is not
+    # the only one of both its row and its column, on the constant-filled
+    # block alone.
+    gate_px = TrackerConfig().gate_px
+    blocked = 0
+    for args in calls["build_cost_matrix"]:
+        inside = build_cost_matrix(*args).values <= gate_px
+        degree = inside.sum(axis=1)[:, None] + inside.sum(axis=0)[None, :]
+        blocked += bool((degree[inside] > 2).any())
+    assert blocked > 0
+    assert len(calls["solve"]) == len(calls["gate"]) == blocked
+    for (block,) in calls["solve"]:
+        assert np.all((block.values <= gate_px) | (block.values == gate_px + 1))
     # One stacked call per frame that has rows to filter, covering them all.
     assert len(calls["predict"]) == sum(1 for n in tracks_in if n)
     assert sum(len(args[0].x) for args in calls["predict"]) == sum(tracks_in)

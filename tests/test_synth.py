@@ -2,7 +2,7 @@
 
 import pytest
 
-from pointtrack.errors import AlignmentError, SpecError, UserError
+from pointtrack.errors import AlignmentError, ParamError, SpecError, UserError
 from pointtrack.io import (
     COORD_LIMIT,
     parse_detections,
@@ -310,6 +310,13 @@ class TestEvaluate:
         assert metrics.matches == 0
         assert metrics.misses == 1
         assert metrics.false_positives == 1
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_match_radius_must_be_finite_and_positive(self, radius):
+        gt, _ = generate(spec_with())
+        with pytest.raises(ParamError) as info:
+            evaluate(results_from_truth(gt), gt, match_radius=radius)
+        assert str(info.value) == f"match_radius must be finite and positive, got {radius}"
 
     def test_duplicate_frames_rejected(self):
         gt, _ = generate(spec_with())

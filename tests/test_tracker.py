@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack import kfilter
 from pointtrack import tracker as tracker_module
-from pointtrack.assignment import CostMatrix, solve
+from pointtrack.assignment import EPS, CostMatrix, solve
 from pointtrack.errors import EmptyError, NumericalError, OrderError, ParamError, UserError
 from pointtrack.io import write_tracks
 from pointtrack.tracker import (
@@ -18,6 +20,7 @@ from pointtrack.tracker import (
     Tracker,
     TrackerConfig,
     TrackStatus,
+    associate,
     build_cost_matrix,
     gate,
     group_by_frame,
@@ -87,6 +90,89 @@ class TestGate:
         assert gated.pairs == {(0, 0)}
         assert gated.unmatched_rows == {1}
         assert gated.unmatched_cols == {1}
+
+
+def in_gate_matchings(inside):
+    """Every matching that uses only in-gate pairs, each as a row -> column map."""
+
+    def extend(row, used):
+        if row == len(inside):
+            yield {}
+            return
+        yield from extend(row + 1, used)
+        for col in np.flatnonzero(inside[row]).tolist():
+            if col not in used:
+                for rest in extend(row + 1, used | {col}):
+                    yield {row: col, **rest}
+
+    return list(extend(0, frozenset()))
+
+
+@st.composite
+def gated_costs(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    # Small integers make ties common; floats reach arbitrary distances.
+    elements = st.one_of(
+        st.integers(0, 8).map(float),
+        st.floats(0.0, 80.0, allow_nan=False, allow_infinity=False),
+    )
+    rows = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n))
+    gate_px = draw(st.one_of(st.integers(1, 8).map(float), st.floats(0.5, 80.0)))
+    return CostMatrix(np.array(rows, dtype=float)), gate_px
+
+
+class TestAssociate:
+    @settings(max_examples=300, deadline=None)
+    @given(gated_costs())
+    def test_least_cost_matching_over_in_gate_pairs(self, case):
+        cost, gate_px = case
+        values = cost.values
+        fill = gate_px + 1.0
+        inside = values <= gate_px
+        chosen = associate(cost, gate_px)
+
+        assert list(chosen) == sorted(chosen)
+        assert len(set(chosen.values())) == len(chosen)
+        assert all(inside[r, c] for r, c in chosen.items())
+
+        def score(matching):
+            return sum(values[r, c] - fill for r, c in matching.items())
+
+        # `solve` counts a pair as tight within assignment.EPS of its duals,
+        # so each matched pair may sit up to EPS above the optimum.
+        candidates = in_gate_matchings(inside)
+        best = min(score(m) for m in candidates)
+        assert abs(score(chosen) - best) <= min(values.shape) * EPS + 1e-12
+
+        row_degree, col_degree = inside.sum(axis=1), inside.sum(axis=0)
+        for r, c in zip(*np.nonzero(inside)):
+            if row_degree[r] == 1 and col_degree[c] == 1:
+                assert chosen.get(r) == c
+
+        optimal = [m for m in candidates if score(m) - best <= 1e-6]
+        if len(optimal) == 1:
+            assert chosen == optimal[0]
+            filled = CostMatrix(np.where(inside, values, fill))
+            assert chosen == dict(gate(solve(filled), filled, gate_px).pairs)
+
+    def test_out_of_gate_costs_do_not_steer_in_gate_pairs(self):
+        cost = CostMatrix(np.array([[10.0, 40.0], [60.0, 200.0]]))
+        assert dict(gate(solve(cost), cost, 50.0).pairs) == {0: 1}
+        assert associate(cost, 50.0) == {0: 0}
+
+    def test_equidistant_rows_tie_goes_to_row_zero(self):
+        cost = CostMatrix(np.array([[5.0, 70.0], [5.0, 80.0]]))
+        assert associate(cost, 50.0) == {0: 0}
+
+    def test_all_lone_pairs_skip_solve_and_gate(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("solve or gate called on lone pairs")
+
+        monkeypatch.setattr(tracker_module, "solve", unreachable)
+        monkeypatch.setattr(tracker_module, "gate", unreachable)
+        cost = CostMatrix(np.array([[90.0, 4.0, 70.0], [60.0, 80.0, 55.0], [3.0, 99.0, 51.0]]))
+        assert associate(cost, 50.0) == {0: 1, 2: 0}
 
 
 class TestStep:
@@ -218,12 +304,19 @@ def snapshot(tracker):
 class TestFailedStep:
     """A step that raises partway through leaves the tracker as it was."""
 
-    # Frame 3 predicts tracks 1 and 2 in one call, updates both in one call
-    # (one stacked 2x2 inversion) and births two tracks.
+    # Frame 3 predicts tracks 1 and 2 in one call; (40, 0) lies inside only
+    # track 1's gate, so track 1's row is solved and gated; it updates both
+    # tracks in one call (one stacked 2x2 inversion) and births three tracks.
     FRAMES = {
         1: [det(1, 0, 0), det(1, 100, 0)],
         2: [det(2, 1, 0), det(2, 101, 0)],
-        3: [det(3, 2, 0), det(3, 102, 0), det(3, 500, 500), det(3, 900, 900)],
+        3: [
+            det(3, 2, 0),
+            det(3, 102, 0),
+            det(3, 40, 0),
+            det(3, 500, 500),
+            det(3, 900, 900),
+        ],
     }
 
     @pytest.mark.parametrize(
@@ -266,7 +359,7 @@ class TestFailedStep:
         monkeypatch.undo()
         retried = tracker.step(3, self.FRAMES[3])
         assert retried == run(self.FRAMES, TrackerConfig(confirm_hits=2))[-1]
-        assert retried.born == [3, 4]
+        assert retried.born == [3, 4, 5]
 
 
 class TestRun:
