@@ -344,6 +344,10 @@ def solve(cost: CostMatrix) -> Assignment:
     matching, one shortest augmenting path per remaining free row completes
     it, and the lexicographically smallest perfect matching on the final
     tight edges is returned. ``total_cost`` is summed from the input matrix.
+    Edges within ``EPS`` of the duals are tight, so totals within ``EPS``
+    per pair of the optimum count as tied and go by the lexicographic rule;
+    ``brute_force_solve`` compares exact sums (on ``[[1e-9], [0]]``,
+    ``{(0, 0)}`` here and ``{(1, 0)}`` there).
 
     Raises DimensionError when either dimension is zero.
     """
@@ -393,8 +397,9 @@ def brute_force_solve(cost: CostMatrix) -> Assignment:
     there are more rows than columns) and keeps the cheapest, breaking ties
     by the same lexicographic rule as ``solve``. Each candidate's costs are
     summed in ascending order, so candidates with equal multisets of costs
-    tie exactly, whatever order their pairs come in. Refuses matrices whose
-    smaller dimension exceeds BRUTE_FORCE_CAP.
+    tie exactly, whatever order their pairs come in; sums are compared with
+    no ``EPS`` slack, unlike ``solve``'s. Refuses matrices whose smaller
+    dimension exceeds BRUTE_FORCE_CAP.
     """
     n_rows, n_cols = cost.n_rows, cost.n_cols
     if n_rows == 0 or n_cols == 0:

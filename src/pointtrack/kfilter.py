@@ -20,6 +20,7 @@ Numerical conventions, chosen for long-run stability:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,12 +70,11 @@ def make_cv_model(sigma_a: float = 1.0, sigma_z: float = 2.0) -> MotionModel:
         sigma_z: measurement noise scale, pixels.
 
     Raises:
-        ParamError: on nonpositive sigma_a or sigma_z.
+        ParamError: on a sigma_a or sigma_z that is not finite and positive.
     """
-    if sigma_a <= 0:
-        raise ParamError(f"sigma_a must be positive, got {sigma_a}")
-    if sigma_z <= 0:
-        raise ParamError(f"sigma_z must be positive, got {sigma_z}")
+    for name, value in (("sigma_a", sigma_a), ("sigma_z", sigma_z)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParamError(f"{name} must be finite and positive, got {value}")
 
     dt = 1.0
     F = np.array(
@@ -107,10 +107,11 @@ def init_state(x: float, y: float, p0_pos: float = 10.0, p0_vel: float = 100.0) 
     variance relative to the position variance.
 
     Raises:
-        ParamError: on nonpositive initial variances.
+        ParamError: on an initial variance that is not finite and positive.
     """
-    if p0_pos <= 0 or p0_vel <= 0:
-        raise ParamError("initial variances must be positive")
+    for name, value in (("p0_pos", p0_pos), ("p0_vel", p0_vel)):
+        if not (math.isfinite(value) and value > 0):
+            raise ParamError(f"{name} must be finite and positive, got {value}")
     mean = np.array([float(x), float(y), 0.0, 0.0])
     cov = np.diag([p0_pos, p0_pos, p0_vel, p0_vel]).astype(float)
     return KalmanState(x=mean, P=cov)

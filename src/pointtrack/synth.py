@@ -101,8 +101,8 @@ class ScenarioSpec:
 class GroundTruth:
     """Exact target positions per frame: lists of (gt_id, x, y).
 
-    Each gt_id is at least 1 and appears once per frame; construction
-    raises `UserError` naming the frame and the id otherwise.
+    Frame keys lie in 1..n_frames; each gt_id is at least 1 and appears
+    once per frame. Construction raises `UserError` naming the frame.
     """
 
     n_frames: int
@@ -110,6 +110,8 @@ class GroundTruth:
 
     def __post_init__(self):
         for frame, points in self.frames.items():
+            if not 1 <= frame <= self.n_frames:
+                raise UserError(f"frame {frame} lies outside 1..{self.n_frames}")
             seen: set[int] = set()
             for gt_id, _, _ in points:
                 if gt_id < 1:

@@ -16,18 +16,20 @@ stacked `KalmanState`, `Tracker.belief`, whose row i is `tracks[i]`, so one
 i of the cost matrix is `tracks[i]` too: `build_cost_matrix` keeps rows in
 the order given, so assignment ties go to the older track.
 
-Lifecycle: tracks are born Tentative, become Confirmed after `confirm_hits`
-consecutive hits, and die after `max_misses` consecutive misses; a Tentative
-track dies on its first miss. A live track's status is only Tentative (T)
-or Confirmed (C), and its reported source is Coasted while it has a miss
-streak, Measured otherwise. Track ids increase strictly at birth and are
-never reused, so identity is conserved for as long as a track lives.
+Lifecycle: a track is its id, birth frame b and miss streak. It is
+Confirmed on frame f iff f - b + 1 >= `confirm_hits`, else Tentative: a
+Tentative track dies on its first miss, so a live track was hit on every
+frame until it was confirmed. Any track dies after `max_misses` consecutive
+misses and is reported Coasted while it has a miss streak, Measured
+otherwise. Ages count frames, so step skipped frames with no detections (as
+`run` does). Track ids increase strictly at birth and are never reused.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -120,25 +122,18 @@ class TrackerConfig:
             raise ParamError(
                 f"min_confidence must lie in [0, 1], got {self.min_confidence}"
             )
-        if self.confirm_hits < 1:
-            raise ParamError("confirm_hits must be at least 1")
-        if self.max_misses < 0:
-            raise ParamError("max_misses must be nonnegative")
+        if not (isinstance(self.confirm_hits, numbers.Integral) and self.confirm_hits >= 1):
+            raise ParamError(f"confirm_hits must be an integer >= 1, got {self.confirm_hits!r}")
+        if not (isinstance(self.max_misses, numbers.Integral) and self.max_misses >= 0):
+            raise ParamError(f"max_misses must be an integer >= 0, got {self.max_misses!r}")
 
 
-@dataclass
-class Track:
-    """Internal per-target bookkeeping; the belief is a row of `Tracker.belief`."""
+class Track(NamedTuple):
+    """One live track's lifecycle; its belief is a row of `Tracker.belief`."""
 
     id: int
-    status: TrackStatus = TrackStatus.TENTATIVE
-    hit_streak: int = 0
-    miss_streak: int = 0
-
-    @property
-    def source(self) -> RecordSource:
-        """How the latest reported position was obtained."""
-        return RecordSource.COASTED if self.miss_streak else RecordSource.MEASURED
+    birth_frame: int
+    miss_streak: int
 
 
 def build_cost_matrix(
@@ -294,24 +289,19 @@ class Tracker:
         keep: list[int] = []
         died: list[int] = []
         for r, track in enumerate(self.tracks):
-            if r in col_of_row:
-                track.hit_streak += 1
-                track.miss_streak = 0
-                if track.hit_streak >= cfg.confirm_hits:
-                    track.status = TrackStatus.CONFIRMED
-            else:
-                track.hit_streak = 0
-                track.miss_streak += 1
-                if track.status is TrackStatus.TENTATIVE or track.miss_streak > cfg.max_misses:
-                    died.append(track.id)
+            if r not in col_of_row:
+                misses = track.miss_streak + 1
+                if frame - track.birth_frame < cfg.confirm_hits or misses > cfg.max_misses:
+                    died.append(track.id)  # still Tentative, or coasted too long
                     continue
+                track = Track(track.id, track.birth_frame, misses)
+            elif track.miss_streak:
+                track = Track(track.id, track.birth_frame, 0)
             survivors.append(track)
             keep.append(r)
         born = list(range(self._next_id, self._next_id + len(newborn)))
-        status = TrackStatus.CONFIRMED if cfg.confirm_hits <= 1 else TrackStatus.TENTATIVE
-        survivors += [Track(i, status, hit_streak=1) for i in born]
         self._next_id += len(newborn)
-        self.tracks = survivors
+        self.tracks = survivors + [Track(i, frame, 0) for i in born]
         self.belief = kfilter.KalmanState(
             x=np.concatenate([x[keep], *(s.x[None] for s in newborn)]),
             P=np.concatenate([P[keep], *(s.P[None] for s in newborn)]),
@@ -319,7 +309,12 @@ class Tracker:
 
         # 5. Report every live track.
         records = [
-            TrackRecord(t.id, px, py, vx, vy, t.status, t.source)
+            TrackRecord(
+                t.id, px, py, vx, vy,
+                TrackStatus.CONFIRMED if frame - t.birth_frame + 1 >= cfg.confirm_hits
+                else TrackStatus.TENTATIVE,
+                RecordSource.COASTED if t.miss_streak else RecordSource.MEASURED,
+            )
             for t, (px, py, vx, vy) in zip(self.tracks, self.belief.x.tolist())
         ]
         self._last_frame = frame

@@ -255,6 +255,13 @@ class TestBruteForce:
         cost = matrix(rows)
         assert brute_force_solve(cost).pairs == solve(cost).pairs == {(0, 0), (1, 2), (2, 1)}
 
+    def test_near_tie_within_eps_splits_solve_from_oracle(self):
+        # solve counts the 1e-9 edge as tight and takes the lexicographic
+        # minimum; the oracle compares exact sums and takes the cheaper row.
+        cost = matrix([[1e-9], [0]])
+        assert solve(cost).pairs == {(0, 0)}
+        assert brute_force_solve(cost).pairs == {(1, 0)}
+
 
 class TestOracleEquivalence:
     @settings(max_examples=150, deadline=None)

@@ -1,5 +1,7 @@
 """Kalman filter tests: model construction, predict/update, numerics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -66,6 +68,12 @@ class TestModelConstruction:
         with pytest.raises(ParamError):
             make_cv_model(**kwargs)
 
+    @pytest.mark.parametrize("name", ["sigma_a", "sigma_z"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sigmas_rejected_by_name(self, name, value):
+        with pytest.raises(ParamError, match=name):
+            make_cv_model(**{name: value})
+
     def test_noise_matrices_symmetric_psd(self):
         model = make_cv_model(sigma_a=0.7, sigma_z=3.0)
         for M in (model.Q, model.R):
@@ -92,6 +100,12 @@ class TestInitState:
             init_state(0, 0, p0_pos=0.0)
         with pytest.raises(ParamError):
             init_state(0, 0, p0_vel=-1.0)
+
+    @pytest.mark.parametrize("name", ["p0_pos", "p0_vel"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_variances_rejected_by_name(self, name, value):
+        with pytest.raises(ParamError, match=name):
+            init_state(0, 0, **{name: value})
 
 
 class TestPredict:

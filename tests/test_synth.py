@@ -202,6 +202,18 @@ class TestGroundTruth:
             GroundTruth(n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: points})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("frame", [0, -1, 4, 5])
+    def test_frame_outside_horizon_named(self, frame):
+        # Accepting frame 5 would let evaluate skip its point: misses == 1
+        # and mota == 0.5 against an empty frame 1, though the count is 2.
+        with pytest.raises(UserError, match=f"frame {frame} lies outside 1..3"):
+            GroundTruth(n_frames=3, frames={1: [(2, 1.0, 1.0)], frame: [(1, 0.0, 0.0)]})
+
+    def test_frames_on_the_horizon_accepted(self):
+        gt = GroundTruth(n_frames=3, frames={1: [(2, 1.0, 1.0)], 3: [(1, 0.0, 0.0)]})
+        metrics = evaluate([FrameResult(1, [], [], [])], gt)
+        assert (metrics.misses, metrics.mota) == (2, 0.0)
+
 
 class TestEvaluate:
     def test_perfect_tracking_scores_one(self):

@@ -297,7 +297,7 @@ def snapshot(tracker):
         tracker._next_id,
         tracker.belief.x.tolist(),
         tracker.belief.P.tolist(),
-        [(t.id, t.status, t.hit_streak, t.miss_streak, t.source) for t in tracker.tracks],
+        [(t.id, t.birth_frame, t.miss_streak) for t in tracker.tracks],
     )
 
 
@@ -400,6 +400,69 @@ class TestRun:
             run({}, TrackerConfig(), frame_range=(5, 1))
 
 
+def reference_lifecycle(site_frames, confirm_hits, max_misses):
+    """Per-frame (records, born, died) from per-track hit and miss streaks.
+
+    Each frame of `site_frames` is the set of sites detected on it. A track
+    keeps a hit streak, a miss streak and a status that stays Confirmed
+    once reached; a Tentative track dies on its first miss, any track once
+    its miss streak exceeds `max_misses`. A site detected with no live
+    track gives birth, sites ascending.
+    """
+    live = {}  # site -> {"id", "status", "hits", "misses"}
+    next_id = 1
+    frames = []
+    for seen in site_frames:
+        died = []
+        for site, track in sorted(live.items(), key=lambda item: item[1]["id"]):
+            if site in seen:
+                track["hits"] += 1
+                track["misses"] = 0
+                if track["hits"] >= confirm_hits:
+                    track["status"] = TrackStatus.CONFIRMED
+            else:
+                track["hits"] = 0
+                track["misses"] += 1
+                if track["status"] is TrackStatus.TENTATIVE or track["misses"] > max_misses:
+                    died.append(track["id"])
+                    del live[site]
+        born = []
+        for site in sorted(seen - live.keys()):
+            status = TrackStatus.CONFIRMED if confirm_hits <= 1 else TrackStatus.TENTATIVE
+            live[site] = {"id": next_id, "status": status, "hits": 1, "misses": 0}
+            born.append(next_id)
+            next_id += 1
+        records = sorted(
+            (t["id"], t["status"], RecordSource.COASTED if t["misses"] else RecordSource.MEASURED)
+            for t in live.values()
+        )
+        frames.append((records, born, died))
+    return frames
+
+
+class TestLifecycle:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        site_frames=st.lists(st.sets(st.integers(0, 3)), min_size=1, max_size=30),
+        confirm_hits=st.integers(1, 5),
+        max_misses=st.integers(0, 4),
+    )
+    def test_age_rule_matches_per_track_streaks(self, site_frames, confirm_hits, max_misses):
+        # Four sites lie 10 gates apart and every detection sits exactly on
+        # its site, so each detection can only continue its own site's track.
+        cfg = TrackerConfig(confirm_hits=confirm_hits, max_misses=max_misses)
+        stream = {
+            f: [det(f, 10 * cfg.gate_px * s, 0.0) for s in sorted(seen)]
+            for f, seen in enumerate(site_frames, start=1)
+        }
+        results = run(stream, cfg, frame_range=(1, len(site_frames)))
+        got = [
+            ([(r.track_id, r.status, r.source) for r in fr.records], fr.born, fr.died)
+            for fr in results
+        ]
+        assert got == reference_lifecycle(site_frames, confirm_hits, max_misses)
+
+
 class TestInvariants:
     def _random_stream(self, seed, n_frames=40):
         rng = np.random.default_rng(seed)
@@ -484,6 +547,12 @@ class TestConfigValidation:
             ("min_confidence", 5.0),
             ("min_confidence", -0.1),
             ("min_confidence", math.nan),
+            ("confirm_hits", math.nan),
+            ("confirm_hits", 2.5),
+            ("confirm_hits", 3.0),
+            ("max_misses", math.nan),
+            ("max_misses", math.inf),
+            ("max_misses", 1.5),
         ],
     )
     def test_non_finite_or_out_of_range_field_rejected_by_name(self, field, value):
