@@ -15,6 +15,20 @@ matchings on the tight edges (``c - u - v <= EPS``) of the final duals, so
 ``solve`` extracts the lexicographically smallest of those in one
 alternating-path pass.
 
+Before any of that, ``solve`` tries a shortcut. Take the shorter side as
+rows; if every row's nearest column is distinct and each row's runner-up
+entry exceeds its minimum by more than ``2 * dim * EPS`` (dim the longer
+side), the nearest columns are returned as they are. This is exact: the
+sum of the row minima bounds every injective map of the short side from
+below and the nearest map reaches it, while any other map takes a
+non-minimum entry in some row and so costs more than the margin extra
+(padding lines cost the same in every cell and change no comparison).
+Every perfect matching on the dual path's tight edges is within
+``dim * EPS`` of the optimum, so with the margin above ``2 * dim * EPS``
+(the second ``dim * EPS`` is slack for rounding in the duals) the lex-min
+pass could only have returned the nearest map too. Near-ties take the dual
+path, so both paths give the same answer.
+
 The staged Hungarian functions follow the paper's worked trace: subtract
 each row's minimum (``reduce_rows``) and each column's minimum
 (``reduce_cols``), cover every zero with the fewest full rows and columns
@@ -349,13 +363,29 @@ def solve(cost: CostMatrix) -> Assignment:
     ``brute_force_solve`` compares exact sums (on ``[[1e-9], [0]]``,
     ``{(0, 0)}`` here and ``{(1, 0)}`` there).
 
+    When each row of the shorter side has its own nearest column, ahead of
+    its runner-up by more than ``2 * dim * EPS`` (dim the longer side), that
+    nearest map is the answer and the dual pass is skipped; the result is the one the dual
+    pass would give (module docstring).
+
     Raises DimensionError when either dimension is zero.
     """
     n_rows, n_cols = cost.n_rows, cost.n_cols
     if n_rows == 0 or n_cols == 0:
         raise DimensionError("cost matrix must have at least one row and one column")
 
+    # Nearest-column shortcut; see the module docstring for why it is exact.
     dim = max(n_rows, n_cols)
+    short = cost.values if n_rows <= n_cols else cost.values.T
+    nearest = short.argmin(axis=1).tolist()
+    if len(set(nearest)) == len(nearest) and (
+        short.shape[1] == 1
+        or (np.diff(np.partition(short, 1, axis=1)[:, :2]) > 2 * dim * EPS).all()
+    ):
+        if n_rows <= n_cols:
+            return _assignment(cost, dict(enumerate(nearest)))
+        return _assignment(cost, dict(sorted((r, c) for c, r in enumerate(nearest))))
+
     if n_rows == n_cols:
         padded = cost.values
     else:
@@ -379,14 +409,23 @@ def solve(cost: CostMatrix) -> Assignment:
         _augment(padded, u, v, col_of_row, row_of_col, row)
 
     tight = padded - u[:, None] - v[None, :] <= EPS
-    chosen = _lex_min_tight_matching(tight, col_of_row, row_of_col, n_rows, n_cols)
-    pairs = frozenset(chosen.items())
-    total = float(sum(cost.values[r, c] for r, c in chosen.items()))
+    return _assignment(
+        cost, _lex_min_tight_matching(tight, col_of_row, row_of_col, n_rows, n_cols)
+    )
+
+
+def _assignment(cost: CostMatrix, chosen: dict[int, int]) -> Assignment:
+    """The Assignment of the {row: column} pairs ``chosen``, rows ascending.
+
+    ``total_cost`` is summed over the pairs in ``chosen``'s order, so both
+    paths of ``solve`` add the same entries in the same order.
+    """
+    rows, cols = list(chosen), list(chosen.values())
     return Assignment(
-        pairs=pairs,
-        unmatched_rows=frozenset(range(n_rows)) - frozenset(chosen),
-        unmatched_cols=frozenset(range(n_cols)) - frozenset(chosen.values()),
-        total_cost=total,
+        pairs=frozenset(chosen.items()),
+        unmatched_rows=frozenset(range(cost.n_rows)).difference(rows),
+        unmatched_cols=frozenset(range(cost.n_cols)).difference(cols),
+        total_cost=float(sum(cost.values[rows, cols].tolist())),
     )
 
 

@@ -21,8 +21,12 @@ Confirmed on frame f iff f - b + 1 >= `confirm_hits`, else Tentative: a
 Tentative track dies on its first miss, so a live track was hit on every
 frame until it was confirmed. Any track dies after `max_misses` consecutive
 misses and is reported Coasted while it has a miss streak, Measured
-otherwise. Ages count frames, so step skipped frames with no detections (as
-`run` does). Track ids increase strictly at birth and are never reused.
+otherwise. Track ids increase strictly at birth and are never reused.
+
+Frames are stepped one at a time: the filter predicts exactly one frame
+ahead and ages count frames, so after the first step `step` rejects any
+frame but the next one. A frame with no detections is still stepped, with
+an empty list (as `run` does).
 """
 
 from __future__ import annotations
@@ -195,15 +199,12 @@ def associate(cost: CostMatrix, gate_px: float) -> dict[int, int]:
     in track order the older track wins a shared detection. Rows come out
     ascending.
     """
-    inside = cost.values <= gate_px
-    row_degree = inside.sum(axis=1)
-    col_degree = inside.sum(axis=0)
-    lone = inside & (row_degree == 1)[:, None] & (col_degree == 1)[None, :]
-    lone_rows, lone_cols = np.nonzero(lone)
-    col_of_row = dict(zip(lone_rows.tolist(), lone_cols.tolist()))
-    if len(col_of_row) < row_degree.sum():
-        block_rows = np.flatnonzero(row_degree > lone.sum(axis=1))
-        block_cols = np.flatnonzero(col_degree > lone.sum(axis=0))
+    rows, cols = np.nonzero(cost.values <= gate_px)
+    lone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    col_of_row = dict(zip(rows[lone].tolist(), cols[lone].tolist()))
+    if len(col_of_row) < len(rows):
+        block_rows = np.flatnonzero(np.bincount(rows[~lone]))
+        block_cols = np.flatnonzero(np.bincount(cols[~lone]))
         values = cost.values[np.ix_(block_rows, block_cols)]
         block = CostMatrix(np.where(values <= gate_px, values, gate_px + 1.0))
         for r, c in gate(solve(block), block, gate_px).pairs:
@@ -212,7 +213,7 @@ def associate(cost: CostMatrix, gate_px: float) -> dict[int, int]:
 
 
 class Tracker:
-    """Sequential multi-target tracker; feed frames in strictly increasing order.
+    """Sequential multi-target tracker; feed consecutive frames in order.
 
     A Tracker instance is a state machine and must not be shared between
     threads; independent instances are free to run concurrently.
@@ -233,8 +234,9 @@ class Tracker:
         """Process one frame worth of detections; see the module docstring.
 
         Raises:
-            OrderError: when the frame index does not increase, or a
-                detection is stamped with a different frame.
+            OrderError: when the frame index is not positive on the first
+                step or not the previous frame + 1 after it, or a detection
+                is stamped with a different frame.
             UserError: when a detection coordinate is not finite or lies
                 beyond COORD_LIMIT, or its confidence is not in [0, 1].
         """
@@ -242,6 +244,11 @@ class Tracker:
         if frame <= self._last_frame:
             raise OrderError(
                 f"frame {frame} is not after last processed frame {self._last_frame}"
+            )
+        if self._last_frame and frame != self._last_frame + 1:
+            raise OrderError(
+                f"frame {frame} skips frames after last processed frame {self._last_frame}; "
+                f"step frame {self._last_frame + 1} next, with no detections if it has none"
             )
         for det in detections:
             if det.frame != frame:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointtrack import assignment
 from pointtrack.assignment import (
     BRUTE_FORCE_CAP,
+    EPS,
     CostMatrix,
     _max_zero_matching,
     brute_force_solve,
@@ -292,6 +294,116 @@ class TestOracleEquivalence:
         assert set(cols) | set(result.unmatched_cols) == set(range(cost.n_cols))
         assert not set(rows) & set(result.unmatched_rows)
         assert not set(cols) & set(result.unmatched_cols)
+
+
+@st.composite
+def shaped_matrices(draw):
+    """Wide, tall or square matrices up to 6 x 6 of three cost kinds.
+
+    Small integers plus offsets of 0 to 10 EPS put runner-up entries and
+    rival assignments within a few EPS of the optimum, on both sides of
+    the nearest-column shortcut's margin.
+    """
+    short = draw(st.integers(1, 6))
+    long = draw(st.integers(short, 6))
+    n, m = draw(st.sampled_from([(short, long), (long, short), (short, short)]))
+    kind = draw(st.sampled_from(["integer", "offset", "float"]))
+    if kind == "integer":
+        elements = st.integers(0, draw(st.sampled_from((100, 3)))).map(float)
+    elif kind == "offset":
+        elements = st.builds(
+            lambda k, e: k + e, st.integers(0, 3), st.sampled_from((0.0, 1e-9, 2e-9, 1e-8))
+        )
+    else:
+        elements = st.floats(0.0, 100.0, allow_nan=False, allow_infinity=False, width=64)
+    rows = draw(
+        st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n)
+    )
+    return matrix(rows)
+
+
+def _candidate_totals(cost):
+    """Every injective assignment's total, summed as the oracle sums them."""
+    v = cost.values
+    n, m = v.shape
+    if n <= m:
+        candidates = [list(enumerate(cols)) for cols in itertools.permutations(range(m), n)]
+    else:
+        candidates = [
+            list(zip(rows, cols))
+            for rows in itertools.combinations(range(n), m)
+            for cols in itertools.permutations(range(m))
+        ]
+    return sorted(sum(sorted(v[r, c] for r, c in cand)) for cand in candidates)
+
+
+class TestNearestColumnShortcut:
+    """`solve` returns each row's nearest column directly when that is exact."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(shaped_matrices())
+    def test_clear_optimum_matches_oracle(self, cost):
+        fast = solve(cost)
+        oracle = brute_force_solve(cost)
+        slack = min(cost.n_rows, cost.n_cols) * EPS
+        assert abs(fast.total_cost - oracle.total_cost) <= slack
+        totals = _candidate_totals(cost)
+        rivals = [t for t in totals if t != totals[0]]
+        if not rivals or rivals[0] - totals[0] > slack:
+            assert fast.pairs == oracle.pairs
+            assert fast.unmatched_rows == oracle.unmatched_rows
+            assert fast.unmatched_cols == oracle.unmatched_cols
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[3, 40, 50, 60, 70], [40, 2, 55, 66, 71], [45, 50, 1, 61, 80], [90, 91, 92, 4, 93]],
+            [[3, 40, 45, 90], [40, 2, 50, 91], [50, 55, 1, 92], [60, 66, 61, 4], [70, 71, 80, 93]],
+            [[0, 1e-8], [1, 0]],
+            [[7]],
+            # Summed by row, 0.1 + 0.2 + 0.4 is 0.7000000000000001; by
+            # column (0.4 first) it would be 0.7.
+            [[9, 0.1, 9], [9, 9, 0.2], [0.4, 9, 9], [9, 9, 9]],
+        ],
+        ids=["wide", "tall", "margin-above-2-dim-eps", "single", "tall-sum-order"],
+    )
+    def test_clear_case_skips_the_dual_pass(self, monkeypatch, rows):
+        def unreachable(*args):
+            raise AssertionError("the dual path ran")
+
+        cost = matrix(rows)
+        oracle = brute_force_solve(cost)
+        monkeypatch.setattr(assignment, "_augment", unreachable)
+        monkeypatch.setattr(assignment, "_lex_min_tight_matching", unreachable)
+        result = solve(cost)
+        assert result.pairs == oracle.pairs
+        assert result.unmatched_rows == oracle.unmatched_rows
+        assert result.unmatched_cols == oracle.unmatched_cols
+        assert result.total_cost == oracle.total_cost
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            # Nearest columns 1 and 2 are distinct, but row 0's runner-up is
+            # only dim * EPS = 3e-9 above its minimum.
+            ([[3e-9, 0, 5], [5, 5, 0]], {(0, 1), (1, 2)}),
+            # Row 1's nearest column is clear, row 0's only dim * EPS clear.
+            ([[0, 2e-9], [1, 0]], {(0, 0), (1, 1)}),
+            # Between dim * EPS and 2 * dim * EPS: still the dual path.
+            ([[0, 3e-9], [1, 0]], {(0, 0), (1, 1)}),
+        ],
+    )
+    def test_margin_within_2_dim_eps_takes_the_dual_path(self, monkeypatch, rows, expected):
+        calls = []
+        real = assignment._lex_min_tight_matching
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(assignment, "_lex_min_tight_matching", counted)
+        assert solve(matrix(rows)).pairs == expected
+        assert len(calls) == 1
 
 
 def _unique_optimum_matrices(rng, count, size_range=(2, 6), shape=None):

@@ -2,6 +2,8 @@
 
 import pytest
 
+from pointtrack import assignment, synth
+from pointtrack import tracker as tracker_module
 from pointtrack.errors import AlignmentError, ParamError, SpecError, UserError
 from pointtrack.io import (
     COORD_LIMIT,
@@ -13,12 +15,20 @@ from pointtrack.io import (
 from pointtrack.rng import POISSON_RATE_MAX, SplitMix64
 from pointtrack.synth import (
     GroundTruth,
+    Metrics,
     ScenarioSpec,
     TargetPath,
     evaluate,
     generate,
 )
-from pointtrack.tracker import FrameResult, RecordSource, TrackRecord, TrackStatus
+from pointtrack.tracker import (
+    FrameResult,
+    RecordSource,
+    TrackRecord,
+    TrackStatus,
+    group_by_frame,
+    run,
+)
 
 
 def spec_with(**overrides):
@@ -358,3 +368,60 @@ class TestEvaluate:
         assert metrics.false_positives == 1
         assert metrics.misses == 0
         assert metrics.matches == gt.total_points()
+
+
+# Six targets crossing near the centre, with misses and clutter: some frames
+# have a clear nearest match for every point and some do not.
+CROSSING = ScenarioSpec(
+    n_frames=80,
+    targets=tuple(
+        TargetPath(1 + 4 * i, 80, x, y, vx, vy)
+        for i, (x, y, vx, vy) in enumerate(
+            [
+                (20.0, 20.0, 2.0, 2.0),
+                (180.0, 20.0, -2.0, 2.0),
+                (20.0, 180.0, 2.0, -2.0),
+                (180.0, 180.0, -2.0, -2.0),
+                (100.0, 10.0, 0.0, 2.2),
+                (10.0, 100.0, 2.2, 0.0),
+            ]
+        )
+    ),
+    noise_sigma=1.0,
+    miss_prob=0.05,
+    clutter_rate=2.0,
+    bounds=(200.0, 200.0),
+    seed=11,
+)
+
+
+def test_crossing_scene_scores_are_pinned(monkeypatch):
+    # The scores were computed before `solve` gained its nearest-column
+    # shortcut; the call counts show that both of its paths were taken.
+    calls = {"solve": 0, "dual": 0}
+
+    def counted(real, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        assignment,
+        "_lex_min_tight_matching",
+        counted(assignment._lex_min_tight_matching, "dual"),
+    )
+    monkeypatch.setattr(synth, "solve", counted(synth.solve, "solve"))
+    monkeypatch.setattr(tracker_module, "solve", counted(tracker_module.solve, "solve"))
+    gt, detections = generate(CROSSING)
+    results = run(group_by_frame(detections), frame_range=(1, CROSSING.n_frames))
+    assert evaluate(results, gt) == Metrics(
+        id_switches=10,
+        misses=28,
+        false_positives=94,
+        matches=392,
+        mota=0.6857142857142857,
+        fragmentation=9,
+    )
+    assert 0 < calls["dual"] < calls["solve"]

@@ -238,6 +238,18 @@ class TestStep:
         with pytest.raises(OrderError):
             tracker.step(3, [])
 
+    def test_frame_gap_rejected_before_any_change(self):
+        # The filter predicts one frame per step: stepped from frame 3 to 40,
+        # this target would be sought at x ~ 40 while it is at 400.
+        tracker = Tracker(TrackerConfig(confirm_hits=3))
+        for f in (1, 2, 3):
+            tracker.step(f, [det(f, 10.0 * f, 0.0)])
+        before = snapshot(tracker)
+        with pytest.raises(OrderError, match="frame 40 .* frame 3"):
+            tracker.step(40, [det(40, 400.0, 0.0)])
+        assert snapshot(tracker) == before
+        assert tracker.step(4, [det(4, 40.0, 0.0)]).born == []
+
     def test_wrongly_stamped_detection_rejected(self):
         tracker = Tracker()
         with pytest.raises(OrderError):
