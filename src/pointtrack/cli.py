@@ -17,7 +17,7 @@ from typing import Sequence
 from . import io as formats
 from .errors import InternalError, ParamError, ParseError, SpecError, UserError
 from .synth import evaluate, generate
-from .tracker import FrameResult, run
+from .tracker import COORD_LIMIT, FrameResult, run
 
 
 def _read_text(path: str) -> str:
@@ -87,11 +87,16 @@ def _parse_results(path: str) -> list[FrameResult]:
 
 
 def _parse_bounds_flag(token: str) -> tuple[float, float]:
+    """The canvas size of `render --bounds`, checked as `ScenarioSpec` checks its bounds."""
     try:
-        parsed = formats.parse_config(f"bounds = {token}")
+        bounds = formats.parse_config(f"bounds = {token}")["bounds"]
     except ParseError as exc:
         raise UserError(f"invalid --bounds value {token!r}: {exc.message}") from exc
-    return parsed["bounds"]  # type: ignore[return-value]
+    if not all(0 < side <= COORD_LIMIT for side in bounds):
+        raise UserError(
+            f"invalid --bounds value {token!r}: bounds must be positive and at most {COORD_LIMIT:g}"
+        )
+    return bounds  # type: ignore[return-value]
 
 
 def cmd_track(args: argparse.Namespace) -> int:

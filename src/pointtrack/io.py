@@ -23,6 +23,15 @@ Positions (x, y in every file) and track velocities (vx, vy) must lie in
 ``ScenarioSpec`` rejects scenes whose points could leave it, so every file
 ``synth`` writes parses.
 
+The three data parsers read each line in one pass: split on commas, int()
+and float() on the raw fields (both strip the whitespace ``str.strip()``
+strips), then one combined test of every range, id and status. A line
+that fails any test, a blank one included, is read again by the located
+helpers (``_located_fields`` and the ``_parse_*`` chain), which skip it or
+raise the ParseError naming its line and its first fault. The writers
+format each line with one ``%`` string, whose ``%s`` and ``%.6f`` give the
+bytes of ``{}`` and ``{:.6f}``.
+
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
     Keys are exactly the TrackerConfig and ScenarioSpec field names;
@@ -34,7 +43,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import ParseError
 from .synth import GroundTruth, ScenarioSpec, TargetPath
@@ -74,10 +84,6 @@ PALETTE = (
 )
 
 TRAIL_LENGTH = 20
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:
@@ -123,114 +129,205 @@ def _parse_id(
     return value
 
 
-def _records(
-    text: str, layout: str, field_counts: tuple[int, ...]
-) -> Iterator[tuple[int, int, list[str]]]:
-    """Yield (line_no, frame, fields) for each nonblank line of a data file.
+def _located_fields(
+    raw: str, line_no: int, layout: str, field_counts: tuple[int, ...]
+) -> tuple[int, list[str]] | None:
+    """Split one line of a data file: None when it is blank, else (frame, fields).
 
     Checks the field count against ``field_counts`` (``layout`` names the
     fields in the error) and that the leading frame is an integer >= 1.
     """
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) not in field_counts:
+    line = raw.strip()
+    if not line:
+        return None
+    fields = line.split(",")
+    if len(fields) not in field_counts:
+        raise ParseError(f"expected {layout}, got {len(fields)} fields", line=line_no)
+    frame = _parse_int(fields[0], line_no, "frame")
+    if frame < 1:
+        raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
+    return frame, fields
+
+
+def _located_detection(raw: str, line_no: int) -> Detection | None:
+    located = _located_fields(raw, line_no, "frame,x,y[,confidence]", (3, 4))
+    if located is None:
+        return None
+    frame, fields = located
+    x = _parse_coord(fields[1], line_no, "x")
+    y = _parse_coord(fields[2], line_no, "y")
+    confidence = 1.0
+    if len(fields) == 4:
+        confidence = _parse_float(fields[3], line_no, "confidence")
+        if not 0.0 <= confidence <= 1.0:
             raise ParseError(
-                f"expected {layout}, got {len(fields)} fields", line=line_no
+                f"confidence must lie in [0, 1], got {confidence}", line=line_no
             )
-        frame = _parse_int(fields[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-        yield line_no, frame, fields
+    return Detection(frame, x, y, confidence)
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Parse a detection file into a frame-indexed map, frames ascending."""
+    limit = COORD_LIMIT
     grouped: dict[int, list[Detection]] = {}
-    for line_no, frame, fields in _records(text, "frame,x,y[,confidence]", (3, 4)):
-        x = _parse_coord(fields[1], line_no, "x")
-        y = _parse_coord(fields[2], line_no, "y")
-        confidence = 1.0
-        if len(fields) == 4:
-            confidence = _parse_float(fields[3], line_no, "confidence")
-            if not 0.0 <= confidence <= 1.0:
-                raise ParseError(
-                    f"confidence must lie in [0, 1], got {confidence}", line=line_no
-                )
-        grouped.setdefault(frame, []).append(
-            Detection(frame=frame, x=x, y=y, confidence=confidence)
-        )
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        fields = raw.split(",")
+        try:
+            frame, x, y = int(fields[0]), float(fields[1]), float(fields[2])
+            confidence = float(fields[3]) if len(fields) == 4 else 1.0
+            valid = (
+                frame >= 1
+                and len(fields) <= 4
+                and -limit <= x <= limit
+                and -limit <= y <= limit
+                and 0.0 <= confidence <= 1.0
+            )
+        except (ValueError, IndexError):
+            valid = False
+        if valid:
+            detection = Detection(frame, x, y, confidence)
+        else:
+            detection = _located_detection(raw, line_no)
+            if detection is None:
+                continue
+        grouped.setdefault(detection.frame, []).append(detection)
     return dict(sorted(grouped.items()))
 
 
 def write_detections(detections: Iterable[Detection]) -> str:
     """Serialize detections, frames ascending, stable within a frame."""
-    ordered = sorted(detections, key=lambda d: d.frame)
-    return "".join(
-        f"{d.frame},{_fmt(d.x)},{_fmt(d.y)},{_fmt(d.confidence)}\n" for d in ordered
-    )
+    line = "%s,%.6f,%.6f,%.6f\n"
+    return "".join([line % d for d in sorted(detections, key=attrgetter("frame"))])
+
+
+_STATUS_BY_CHAR = {s.value: s for s in TrackStatus}
+_SOURCE_BY_CHAR = {s.value: s for s in RecordSource}
+
+
+def _located_track(
+    raw: str, line_no: int, seen: dict[int, set[int]]
+) -> tuple[int, TrackRecord] | None:
+    located = _located_fields(raw, line_no, "frame,track_id,x,y,vx,vy,status,source", (8,))
+    if located is None:
+        return None
+    frame, fields = located
+    track_id = _parse_id(fields[1], line_no, "track_id", frame, seen)
+    x = _parse_coord(fields[2], line_no, "x")
+    y = _parse_coord(fields[3], line_no, "y")
+    vx = _parse_coord(fields[4], line_no, "vx")
+    vy = _parse_coord(fields[5], line_no, "vy")
+    status = _STATUS_BY_CHAR.get(fields[6].strip())
+    if status is None:
+        raise ParseError(f"status must be T or C, got {fields[6]!r}", line=line_no)
+    source = _SOURCE_BY_CHAR.get(fields[7].strip())
+    if source is None:
+        raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
+    return frame, TrackRecord(track_id, x, y, vx, vy, status, source)
 
 
 def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     """Parse a track file into a frame-indexed record map."""
-    status_by_char = {s.value: s for s in TrackStatus}
-    source_by_char = {s.value: s for s in RecordSource}
+    limit = COORD_LIMIT
     grouped: dict[int, list[TrackRecord]] = {}
-    seen_ids: dict[int, set[int]] = {}
-    layout = "frame,track_id,x,y,vx,vy,status,source"
-    for line_no, frame, fields in _records(text, layout, (8,)):
-        track_id = _parse_id(fields[1], line_no, "track_id", frame, seen_ids)
-        x = _parse_coord(fields[2], line_no, "x")
-        y = _parse_coord(fields[3], line_no, "y")
-        vx = _parse_coord(fields[4], line_no, "vx")
-        vy = _parse_coord(fields[5], line_no, "vy")
-        status = status_by_char.get(fields[6].strip())
-        if status is None:
-            raise ParseError(f"status must be T or C, got {fields[6]!r}", line=line_no)
-        source = source_by_char.get(fields[7].strip())
-        if source is None:
-            raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
-        grouped.setdefault(frame, []).append(
-            TrackRecord(track_id, x, y, vx, vy, status, source)
-        )
+    seen: dict[int, set[int]] = {}
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        try:
+            frame, track_id, x, y, vx, vy, status, source = raw.split(",")
+            frame, track_id = int(frame), int(track_id)
+            x, y, vx, vy = float(x), float(y), float(vx), float(vy)
+            status = _STATUS_BY_CHAR[status.strip()]
+            source = _SOURCE_BY_CHAR[source.strip()]
+            ids = seen.setdefault(frame, set())
+            valid = (
+                frame >= 1
+                and track_id >= 1
+                and track_id not in ids
+                and -limit <= x <= limit
+                and -limit <= y <= limit
+                and -limit <= vx <= limit
+                and -limit <= vy <= limit
+            )
+        except (ValueError, KeyError):
+            valid = False
+        if valid:
+            ids.add(track_id)
+            record = TrackRecord(track_id, x, y, vx, vy, status, source)
+        else:
+            located = _located_track(raw, line_no, seen)
+            if located is None:
+                continue
+            frame, record = located
+        grouped.setdefault(frame, []).append(record)
     for records in grouped.values():
-        records.sort(key=lambda r: r.track_id)
+        records.sort(key=attrgetter("track_id"))
     return dict(sorted(grouped.items()))
 
 
 def write_tracks(results: Sequence[FrameResult]) -> str:
     """Serialize frame results in the canonical order (frame, then id)."""
+    line = "%s,%s,%.6f,%.6f,%.6f,%.6f,%s,%s\n"
     lines = []
-    for result in sorted(results, key=lambda r: r.frame):
-        for rec in sorted(result.records, key=lambda r: r.track_id):
-            lines.append(
-                f"{result.frame},{rec.track_id},{_fmt(rec.x)},{_fmt(rec.y)},"
-                f"{_fmt(rec.vx)},{_fmt(rec.vy)},{rec.status.value},{rec.source.value}\n"
-            )
+    for result in sorted(results, key=attrgetter("frame")):
+        frame = result.frame
+        for track_id, x, y, vx, vy, status, source in sorted(
+            result.records, key=attrgetter("track_id")
+        ):
+            # `_value_` is the member's value without the `value` property's cost.
+            lines.append(line % (frame, track_id, x, y, vx, vy, status._value_, source._value_))
     return "".join(lines)
+
+
+def _located_ground_truth(
+    raw: str, line_no: int, seen: dict[int, set[int]]
+) -> tuple[int, tuple[int, float, float]] | None:
+    located = _located_fields(raw, line_no, "frame,gt_id,x,y", (4,))
+    if located is None:
+        return None
+    frame, fields = located
+    gt_id = _parse_id(fields[1], line_no, "gt_id", frame, seen)
+    x = _parse_coord(fields[2], line_no, "x")
+    y = _parse_coord(fields[3], line_no, "y")
+    return frame, (gt_id, x, y)
 
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth file (``frame,gt_id,x,y``)."""
+    limit = COORD_LIMIT
     frames: dict[int, list[tuple[int, float, float]]] = {}
-    seen_ids: dict[int, set[int]] = {}
-    for line_no, frame, fields in _records(text, "frame,gt_id,x,y", (4,)):
-        gt_id = _parse_id(fields[1], line_no, "gt_id", frame, seen_ids)
-        x = _parse_coord(fields[2], line_no, "x")
-        y = _parse_coord(fields[3], line_no, "y")
-        frames.setdefault(frame, []).append((gt_id, x, y))
+    seen: dict[int, set[int]] = {}
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        try:
+            frame, gt_id, x, y = raw.split(",")
+            frame, gt_id = int(frame), int(gt_id)
+            x, y = float(x), float(y)
+            ids = seen.setdefault(frame, set())
+            valid = (
+                frame >= 1
+                and gt_id >= 1
+                and gt_id not in ids
+                and -limit <= x <= limit
+                and -limit <= y <= limit
+            )
+        except ValueError:
+            valid = False
+        if valid:
+            ids.add(gt_id)
+            point = (gt_id, x, y)
+        else:
+            located = _located_ground_truth(raw, line_no, seen)
+            if located is None:
+                continue
+            frame, point = located
+        frames.setdefault(frame, []).append(point)
     n_frames = max(frames) if frames else 0
     return GroundTruth(n_frames=n_frames, frames=dict(sorted(frames.items())))
 
 
 def write_ground_truth(gt: GroundTruth) -> str:
-    lines = []
-    for frame in sorted(gt.frames):
-        for gt_id, x, y in gt.frames[frame]:
-            lines.append(f"{frame},{gt_id},{_fmt(x)},{_fmt(y)}\n")
-    return "".join(lines)
+    line = "%s,%s,%.6f,%.6f\n"
+    return "".join(
+        [line % (frame, *point) for frame in sorted(gt.frames) for point in gt.frames[frame]]
+    )
 
 
 def _parse_bounds(token: str, line_no: int) -> tuple[float, float]:

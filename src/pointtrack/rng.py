@@ -27,11 +27,21 @@ Derived draws, each defined in terms of core outputs:
 
 Reference outputs for seed 0: 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4,
 0x06C45D188009454F.
+
+Implementation: the generator is counter-based, so output k (from 1) is
+mix(seed + k * 0x9E3779B97F4A7C15 mod 2^64), where mix is the last three
+lines above. `SplitMix64` computes outputs 4,096 at a time in numpy
+``uint64`` (which wraps mod 2^64) and hands them out one per `next_u64`
+call; the stream is the one-at-a-time loop above, bit for bit. Every
+derived draw takes its outputs through `next_u64`, so patching that one
+method sees every draw.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -42,19 +52,31 @@ _MIX2 = 0x94D049BB133111EB
 # is a normal double, while exp(-745) underflows to 0.
 POISSON_RATE_MAX = 700.0
 
+# Outputs computed per refill, and the state offsets of one block's outputs.
+_BLOCK = 4096
+_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+
 
 class SplitMix64:
     """The pinned 64-bit stream; see the module docstring for the contract."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = seed & _MASK64  # the state after the last computed output
+        self._pending: list[int] = []  # computed, not yet drawn; next draw last
+
+    def _refill(self) -> None:
+        with np.errstate(over="ignore"):
+            z = np.uint64(self._state) + _STEPS
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            z ^= z >> np.uint64(31)
+        self._pending = z[::-1].tolist()
+        self._state = (self._state + _BLOCK * _GAMMA) & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + _GAMMA) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return (z ^ (z >> 31)) & _MASK64
+        if not self._pending:
+            self._refill()
+        return self._pending.pop()
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 bits of resolution."""

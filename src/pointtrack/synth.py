@@ -168,15 +168,9 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
                 continue
             nx = spec.noise_sigma * stream.gauss()
             ny = spec.noise_sigma * stream.gauss()
-            detections.append(Detection(frame=frame, x=x + nx, y=y + ny))
+            detections.append(Detection(frame, x + nx, y + ny))
         for _ in range(stream.poisson(spec.clutter_rate)):
-            detections.append(
-                Detection(
-                    frame=frame,
-                    x=stream.uniform() * width,
-                    y=stream.uniform() * height,
-                )
-            )
+            detections.append(Detection(frame, stream.uniform() * width, stream.uniform() * height))
         truth[frame] = points
     return GroundTruth(n_frames=spec.n_frames, frames=truth), detections
 

@@ -65,9 +65,12 @@ class RecordSource(enum.Enum):
     COASTED = "P"
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One measured head position in one frame (frame >= 1, |coords| <= COORD_LIMIT)."""
+class Detection(NamedTuple):
+    """One measured head position in one frame (frame >= 1, |coords| <= COORD_LIMIT).
+
+    A NamedTuple, like `TrackRecord`: immutable, and cheap to build by the
+    ten thousand in `synth.generate` and `io.parse_detections`.
+    """
 
     frame: int
     x: float

@@ -331,6 +331,17 @@ class TestRender:
         assert main(["render", str(tracks), str(tmp_path / "f"), "--bounds", "320by240"]) == 2
         assert "bounds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bounds", ["-5x5", "0x0", "5x-1", "2e9x5"])
+    def test_bounds_it_cannot_draw_exit_two(self, tmp_path, capsys, bounds):
+        tracks = tmp_path / "tracks.csv"
+        tracks.write_text("1,1,0.0,0.0,0.0,0.0,C,M\n")
+        out_dir = tmp_path / "frames"
+        assert main(["render", str(tracks), str(out_dir), f"--bounds={bounds}"]) == 2
+        err = capsys.readouterr().err
+        assert f"invalid --bounds value {bounds!r}" in err
+        assert "bounds must be positive and at most 1e+09" in err
+        assert not out_dir.exists()
+
 
 class TestPipelineDeterminism:
     def test_synth_track_eval_repeats_identically(self, tmp_path, scenario_file, capsys):

@@ -1,5 +1,6 @@
 """File format tests: parsing, serialization, round-trips, fuzz totality."""
 
+import math
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -22,6 +23,7 @@ from pointtrack.io import (
 )
 from pointtrack.synth import GroundTruth
 from pointtrack.tracker import (
+    COORD_LIMIT,
     Detection,
     FrameResult,
     RecordSource,
@@ -236,6 +238,209 @@ class TestGroundTruthFile:
     def test_same_gt_id_on_different_frames_accepted(self):
         parsed = parse_ground_truth("1,1,0,0\n2,1,5,5\n2,2,9,9")
         assert parsed.frames == {1: [(1, 0.0, 0.0)], 2: [(1, 5.0, 5.0), (2, 9.0, 9.0)]}
+
+
+# A reference for the data parsers: every line stripped, split and read one
+# located helper at a time, as the parsers did before their one-pass loop.
+
+
+def _ref_int(token, line, what):
+    try:
+        return int(token.strip())
+    except ValueError:
+        raise ParseError(f"{what} is not an integer: {token!r}", line=line) from None
+
+
+def _ref_float(token, line, what):
+    try:
+        value = float(token.strip())
+    except ValueError:
+        raise ParseError(f"{what} is not a number: {token!r}", line=line) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be finite: {token!r}", line=line)
+    return value
+
+
+def _ref_coord(token, line, what):
+    value = _ref_float(token, line, what)
+    if abs(value) > COORD_LIMIT:
+        raise ParseError(f"{what} must lie within +-{COORD_LIMIT:g}, got {value:g}", line=line)
+    return value
+
+
+def _ref_id(token, line, what, frame, seen):
+    value = _ref_int(token, line, what)
+    if value < 1:
+        raise ParseError(f"{what} must be >= 1, got {value}", line=line)
+    if value in seen.setdefault(frame, set()):
+        raise ParseError(f"{what} {value} appears twice in frame {frame}", line=line)
+    seen[frame].add(value)
+    return value
+
+
+def _ref_records(text, layout, field_counts):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) not in field_counts:
+            raise ParseError(f"expected {layout}, got {len(fields)} fields", line=line_no)
+        frame = _ref_int(fields[0], line_no, "frame")
+        if frame < 1:
+            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
+        yield line_no, frame, fields
+
+
+def reference_detections(text):
+    grouped = {}
+    for line_no, frame, fields in _ref_records(text, "frame,x,y[,confidence]", (3, 4)):
+        x = _ref_coord(fields[1], line_no, "x")
+        y = _ref_coord(fields[2], line_no, "y")
+        confidence = 1.0
+        if len(fields) == 4:
+            confidence = _ref_float(fields[3], line_no, "confidence")
+            if not 0.0 <= confidence <= 1.0:
+                raise ParseError(f"confidence must lie in [0, 1], got {confidence}", line=line_no)
+        grouped.setdefault(frame, []).append(Detection(frame, x, y, confidence))
+    return dict(sorted(grouped.items()))
+
+
+def reference_tracks(text):
+    grouped, seen = {}, {}
+    layout = "frame,track_id,x,y,vx,vy,status,source"
+    for line_no, frame, fields in _ref_records(text, layout, (8,)):
+        track_id = _ref_id(fields[1], line_no, "track_id", frame, seen)
+        x, y, vx, vy = (_ref_coord(fields[i], line_no, n) for i, n in enumerate("x y vx vy".split(), 2))
+        status = {s.value: s for s in TrackStatus}.get(fields[6].strip())
+        if status is None:
+            raise ParseError(f"status must be T or C, got {fields[6]!r}", line=line_no)
+        source = {s.value: s for s in RecordSource}.get(fields[7].strip())
+        if source is None:
+            raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
+        grouped.setdefault(frame, []).append(TrackRecord(track_id, x, y, vx, vy, status, source))
+    for records in grouped.values():
+        records.sort(key=lambda r: r.track_id)
+    return dict(sorted(grouped.items()))
+
+
+def reference_ground_truth(text):
+    frames, seen = {}, {}
+    for line_no, frame, fields in _ref_records(text, "frame,gt_id,x,y", (4,)):
+        gt_id = _ref_id(fields[1], line_no, "gt_id", frame, seen)
+        x = _ref_coord(fields[2], line_no, "x")
+        y = _ref_coord(fields[3], line_no, "y")
+        frames.setdefault(frame, []).append((gt_id, x, y))
+    return GroundTruth(n_frames=max(frames, default=0), frames=dict(sorted(frames.items())))
+
+
+# Field tokens: valid ones, and near misses that a parser may accept or must
+# reject with the reference's error.
+_PADS = ["", " ", "\t", "\r", " \t ", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u2028", "\u3000"]
+_INT_MISSES = ["0", "-1", "+2", "1_0", "2.0", "", "x", "1e1", "\u0663", "nan", "9" * 30]
+_FLOAT_MISSES = [
+    "nan", "NaN", "inf", "-inf", "infinity", "+1.5", "-0.0", "1E3", ".5", "5.", "1_0.5", "0x10",
+    "", "abc", "1e9", "-1e9", "1000000000.0000001", "-1.0000001e9", "1e10", "1e400", "-1e-400",
+]
+_CONFIDENCE_MISSES = ["1", "0", "-0.0", "1.0000001", "-1e-9", "1.5", "2", "nan", "inf", "", "x"]
+_STATUS_MISSES = ["X", "", "c", "TC", "M", " T"]
+_SOURCE_MISSES = ["Q", "", "m", "MP", "C", "P "]
+_MISSES = {
+    "detections": [_INT_MISSES, _FLOAT_MISSES, _FLOAT_MISSES, _CONFIDENCE_MISSES],
+    "tracks": [_INT_MISSES, _INT_MISSES] + [_FLOAT_MISSES] * 4 + [_STATUS_MISSES, _SOURCE_MISSES],
+    "ground_truth": [_INT_MISSES, _INT_MISSES, _FLOAT_MISSES, _FLOAT_MISSES],
+}
+_PARSERS = [
+    ("detections", parse_detections, reference_detections),
+    ("tracks", parse_tracks, reference_tracks),
+    ("ground_truth", parse_ground_truth, reference_ground_truth),
+]
+
+_frames = st.integers(1, 3).map(str)
+_ids = st.integers(1, 4).map(str)
+_coords = st.floats(-1e9, 1e9).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.6f}", f"{v:e}", str(int(v))])
+)
+_VALID = {
+    "detections": [_frames, _coords, _coords, st.floats(0.0, 1.0).map(repr)],
+    "tracks": [_frames, _ids, _coords, _coords, _coords, _coords]
+    + [st.sampled_from(["T", "C"]), st.sampled_from(["M", "P"])],
+    "ground_truth": [_frames, _ids, _coords, _coords],
+}
+
+
+def _near_miss(kind, i):
+    """A listed near miss for field i, or any float where a number goes."""
+    tokens = _MISSES[kind][i]
+    if tokens is _FLOAT_MISSES:
+        return st.sampled_from(tokens) | st.floats().map(repr)
+    if tokens is _CONFIDENCE_MISSES:
+        return st.sampled_from(tokens) | st.floats(-1.0, 2.0).map(repr)
+    return st.sampled_from(tokens)
+
+
+@st.composite
+def data_line(draw, kind):
+    fields = [draw(field) for field in _VALID[kind]]
+    if kind == "detections" and draw(st.booleans()):
+        fields.pop()  # the three-field form
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = draw(_near_miss(kind, i))
+    shape = draw(st.sampled_from(["as is"] * 4 + ["missing", "extra", "empty"]))
+    if shape == "missing":
+        fields.pop()
+    elif shape == "extra":
+        fields.append(draw(_VALID[kind][-1]))
+    elif shape == "empty":
+        fields[draw(st.integers(0, len(fields) - 1))] = ""
+    pads = st.sampled_from(_PADS)
+    return ",".join(draw(pads) + field + draw(pads) for field in fields)
+
+
+def data_text(kind):
+    lines = st.lists(data_line(kind) | st.sampled_from(_PADS), min_size=1, max_size=6)
+    return st.tuples(lines, st.sampled_from(["", "\n"])).map(lambda t: "\n".join(t[0]) + t[1])
+
+
+def assert_parses_like_reference(parse, reference, text):
+    try:
+        expected = reference(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (str(info.value), info.value.line) == (str(exc), exc.line), repr(text)
+        return
+    parsed = parse(text)
+    assert parsed == expected, repr(text)
+    assert repr(parsed) == repr(expected), repr(text)  # also tells -0.0 from 0.0, 1 from 1.0
+
+
+class TestOnePassParsers:
+    """Each data parser reads exactly what the located helpers read, errors included."""
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_located_reference(self, kind, parse, reference, data):
+        assert_parses_like_reference(parse, reference, data.draw(data_text(kind), label="text"))
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    def test_every_near_miss_in_every_field(self, kind, parse, reference):
+        # Line 2 is a valid line of line 1's frame (id 2 to line 1's id 1)
+        # with one field replaced; the id misses include line 1's id.
+        first, base = {
+            "detections": ("2,10.5,-3.25,0.5", "2,7.0,8.0,1.0"),
+            "tracks": ("2,1,10.5,-3.25,0.5,-0.5,C,M", "2,2,7.0,8.0,-1.0,0.0,T,P"),
+            "ground_truth": ("2,1,10.5,-3.25", "2,2,7.0,8.0"),
+        }[kind]
+        fields = base.split(",")
+        for i, misses in enumerate(_MISSES[kind]):
+            for miss in misses + ["1"]:
+                for pad in ("", " ", "\r"):
+                    second = fields[:i] + [pad + miss + pad] + fields[i + 1 :]
+                    text = first + "\n" + ",".join(second) + "\n"
+                    assert_parses_like_reference(parse, reference, text)
 
 
 class TestConfig:

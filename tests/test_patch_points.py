@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pointtrack import kfilter, synth
+from pointtrack import kfilter, rng, synth
 from pointtrack.io import write_tracks
 from pointtrack import tracker as tracker_module
 from pointtrack.synth import ScenarioSpec, TargetPath, evaluate, generate
@@ -69,6 +69,16 @@ def test_scene_track_bytes_are_pinned(scene):
     assert hashlib.sha256(write_tracks(results).encode()).hexdigest() == (
         "bb9f895d167026e65d691eec76421305d383498395bdb174a91028d8e779cedd"
     )
+
+
+def test_every_draw_goes_through_next_u64(monkeypatch, scene):
+    # perfbench counts `rng.draws` by patching `SplitMix64.next_u64`.
+    gt, stream, _ = scene
+    draws = counting(monkeypatch, rng.SplitMix64, "next_u64")
+    patched_gt, detections = generate(SPEC)
+    assert patched_gt == gt
+    assert group_by_frame(detections) == stream
+    assert len(draws) == 650
 
 
 def test_evaluate_solves_and_gates_once_per_scored_frame(monkeypatch, scene):

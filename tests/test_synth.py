@@ -1,5 +1,9 @@
 """Scenario generator, pinned PRNG, and evaluation accounting tests."""
 
+import hashlib
+import math
+import random
+
 import pytest
 
 from pointtrack import assignment, synth
@@ -100,6 +104,50 @@ class TestSplitMix64:
         assert stream.poisson(0.0) == 0
         assert stream.next_u64() == SplitMix64(99).next_u64()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -1])
+    def test_buffered_stream_matches_the_unbuffered_loop(self, seed):
+        mask = (1 << 64) - 1
+        state = seed & mask
+        outputs = 0
+
+        def next_u64():
+            # The module docstring's loop, one output per call.
+            nonlocal state, outputs
+            outputs += 1
+            state = (state + 0x9E3779B97F4A7C15) & mask
+            z = state
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        def uniform():
+            return (next_u64() >> 11) * 2.0**-53
+
+        def gauss():
+            u1 = 1.0 - uniform()
+            return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * uniform())
+
+        def poisson(rate):
+            threshold, count, product = math.exp(-rate), 0, uniform()
+            while product > threshold:
+                count += 1
+                product *= uniform()
+            return count
+
+        stream = SplitMix64(seed)
+        calls = random.Random(seed).choices(["u64", "uniform", "gauss", "poisson"], k=10_000)
+        for i, call in enumerate(calls):
+            if call == "u64":
+                assert stream.next_u64() == next_u64(), i
+            elif call == "uniform":
+                assert stream.uniform() == uniform(), i
+            elif call == "gauss":
+                assert stream.gauss() == gauss(), i
+            else:
+                rate = (i % 5) * 1.5
+                assert stream.poisson(rate) == (poisson(rate) if rate > 0 else 0), i
+        assert outputs > 2 * 4096  # the package computes outputs 4,096 at a time
+
 
 class TestGenerate:
     def test_noiseless_detections_equal_truth(self):
@@ -167,6 +215,41 @@ class TestGenerate:
     def test_invalid_specs_rejected(self, overrides):
         with pytest.raises(SpecError):
             spec_with(**overrides)
+
+    def test_scene_file_bytes_are_pinned(self, monkeypatch):
+        # 32,181 draws, across several of the stream's 4,096-output blocks.
+        spec = ScenarioSpec(
+            n_frames=500,
+            targets=tuple(
+                TargetPath(
+                    1 + 9 * i, 500 - 7 * i, 20.0 + 37 * i, 460.0 - 23 * i,
+                    0.5 - 0.07 * i, 0.3 + 0.05 * i,
+                )
+                for i in range(14)
+            ),
+            noise_sigma=1.5,
+            miss_prob=0.1,
+            clutter_rate=4.0,
+            bounds=(640.0, 480.0),
+            seed=20201,
+        )
+        draws = 0
+        next_u64 = SplitMix64.next_u64
+
+        def counted(self):
+            nonlocal draws
+            draws += 1
+            return next_u64(self)
+
+        monkeypatch.setattr(SplitMix64, "next_u64", counted)
+        gt, detections = generate(spec)
+        assert draws == 32181
+        assert hashlib.sha256(write_detections(detections).encode()).hexdigest() == (
+            "7875129e853660fb3dab7bd9eaabc47a951b0bde2c965a7824c9f87246fe7414"
+        )
+        assert hashlib.sha256(write_ground_truth(gt).encode()).hexdigest() == (
+            "554b59dc23e54af30df227b226c8e47f2c1514ebe83c84212189f0d204613c06"
+        )
 
     def test_largest_clutter_rate_keeps_its_pinned_draws(self):
         spec = spec_with(targets=(), n_frames=1, clutter_rate=POISSON_RATE_MAX, seed=1)
