@@ -23,14 +23,16 @@ Positions (x, y in every file) and track velocities (vx, vy) must lie in
 ``ScenarioSpec`` rejects scenes whose points could leave it, so every file
 ``synth`` writes parses.
 
-The three data parsers read each line in one pass: split on commas, int()
-and float() on the raw fields (both strip the whitespace ``str.strip()``
-strips), then one combined test of every range, id and status. A line
-that fails any test, a blank one included, is read again by the located
-helpers (``_located_fields`` and the ``_parse_*`` chain), which skip it or
-raise the ParseError naming its line and its first fault. The writers
-format each line with one ``%`` string, whose ``%s`` and ``%.6f`` give the
-bytes of ``{}`` and ``{:.6f}``.
+Each data format is one table of the fields after the frame, each named
+with its reader. The parsers read a line in one pass first: split on
+commas, int() and float() on the raw fields, then one combined test of
+every range, id and code. A line that fails it, a blank one included, or
+one whose field int() or float() cannot strip (U+001C to U+001F, which
+``str.strip()`` strips), is read again field by field through the table
+(``_located``), which skips it, returns its values or raises the
+ParseError naming its line and its first fault. The writers format each
+line with one ``%`` string, whose ``%s`` and ``%.6f`` give the bytes of
+``{}`` and ``{:.6f}``.
 
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
@@ -43,8 +45,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from functools import partial
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence, get_type_hints
+from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import ParseError
 from .synth import GroundTruth, ScenarioSpec, TargetPath
@@ -103,7 +106,7 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _parse_coord(token: str, line_no: int, what: str) -> float:
+def _read_coord(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
     value = _parse_float(token, line_no, what)
     if abs(value) > COORD_LIMIT:
         raise ParseError(
@@ -112,13 +115,15 @@ def _parse_coord(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _parse_id(
-    token: str, line_no: int, what: str, frame: int, seen: dict[int, set[int]]
-) -> int:
-    """Parse an id that must be >= 1 and unique within its frame.
+def _read_confidence(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
+    value = _parse_float(token, line_no, what)
+    if not 0.0 <= value <= 1.0:
+        raise ParseError(f"{what} must lie in [0, 1], got {value}", line=line_no)
+    return value
 
-    ``seen`` maps each frame to the ids read so far and is updated.
-    """
+
+def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> int:
+    """An id >= 1 not yet read in its frame; it is added to ``seen``."""
     value = _parse_int(token, line_no, what)
     if value < 1:
         raise ParseError(f"{what} must be >= 1, got {value}", line=line_no)
@@ -129,69 +134,99 @@ def _parse_id(
     return value
 
 
-def _located_fields(
-    raw: str, line_no: int, layout: str, field_counts: tuple[int, ...]
-) -> tuple[int, list[str]] | None:
-    """Split one line of a data file: None when it is blank, else (frame, fields).
+def _read_code(by_code: dict, token: str, line_no: int, what: str, frame: int, seen: dict):
+    """A one-letter code, read as the value ``by_code`` maps it to."""
+    value = by_code.get(token.strip())
+    if value is None:
+        raise ParseError(f"{what} must be {' or '.join(by_code)}, got {token!r}", line=line_no)
+    return value
 
-    Checks the field count against ``field_counts`` (``layout`` names the
-    fields in the error) and that the leading frame is an integer >= 1.
+
+def _located(
+    raw: str, line_no: int, fields: tuple, seen: dict[int, set[int]], optional: int = 0
+) -> tuple[int, list] | None:
+    """Read one data line field by field: None when it is blank, else (frame, values).
+
+    ``fields`` is the format's table: the fields after the frame in file
+    order, as (name, reader) pairs, of which a line may leave out the last
+    ``optional``. A reader takes the field's token, the line number, the
+    name, the frame and ``seen`` (the ids read so far, by frame) and returns
+    the field's value. Raises the ParseError naming the line and its first
+    fault.
     """
     line = raw.strip()
     if not line:
         return None
-    fields = line.split(",")
-    if len(fields) not in field_counts:
-        raise ParseError(f"expected {layout}, got {len(fields)} fields", line=line_no)
-    frame = _parse_int(fields[0], line_no, "frame")
+    tokens = line.split(",")
+    names = ["frame", *(name for name, _ in fields)]
+    required = len(names) - optional
+    if not required <= len(tokens) <= len(names):
+        layout = ",".join(names[:required]) + "".join(f"[,{n}]" for n in names[required:])
+        raise ParseError(f"expected {layout}, got {len(tokens)} fields", line=line_no)
+    frame = _parse_int(tokens[0], line_no, "frame")
     if frame < 1:
         raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-    return frame, fields
+    return frame, [
+        read(token, line_no, name, frame, seen) for (name, read), token in zip(fields, tokens[1:])
+    ]
 
 
-def _located_detection(raw: str, line_no: int) -> Detection | None:
-    located = _located_fields(raw, line_no, "frame,x,y[,confidence]", (3, 4))
-    if located is None:
-        return None
-    frame, fields = located
-    x = _parse_coord(fields[1], line_no, "x")
-    y = _parse_coord(fields[2], line_no, "y")
-    confidence = 1.0
-    if len(fields) == 4:
-        confidence = _parse_float(fields[3], line_no, "confidence")
-        if not 0.0 <= confidence <= 1.0:
-            raise ParseError(
-                f"confidence must lie in [0, 1], got {confidence}", line=line_no
-            )
-    return Detection(frame, x, y, confidence)
+def _read_lines(
+    text: str, fast: Callable, fields: tuple, build: Callable, optional: int = 0
+) -> dict[int, list]:
+    """Read a data file into its records grouped by frame, frames ascending.
+
+    ``fast(tokens, seen)`` reads a line split on commas in one pass. It
+    returns (frame, record) when the line has the format's field count and
+    every value is in range, and adds only such a line's id to ``seen``;
+    else it returns None or raises ValueError, IndexError or KeyError. Such
+    a line, a blank one included, is read again by `_located`, which skips
+    it or raises, and ``build(frame, values)`` makes the record of a line
+    `_located` accepts.
+    """
+    grouped: dict[int, list] = {}
+    seen: dict[int, set[int]] = {}
+    for line_no, raw in enumerate(text.split("\n"), start=1):
+        try:
+            parsed = fast(raw.split(","), seen)
+        except (ValueError, IndexError, KeyError):
+            parsed = None
+        if parsed is None:
+            located = _located(raw, line_no, fields, seen, optional)
+            if located is None:
+                continue
+            frame, values = located
+            parsed = frame, build(frame, values)
+        grouped.setdefault(parsed[0], []).append(parsed[1])
+    return dict(sorted(grouped.items()))
+
+
+_DETECTION_FIELDS = (("x", _read_coord), ("y", _read_coord), ("confidence", _read_confidence))
+
+
+def _fast_detection(tokens: list[str], seen: dict) -> tuple[int, Detection] | None:
+    frame, x, y = int(tokens[0]), float(tokens[1]), float(tokens[2])
+    confidence = float(tokens[3]) if len(tokens) == 4 else 1.0
+    if (
+        frame >= 1
+        and len(tokens) <= 4
+        and -COORD_LIMIT <= x <= COORD_LIMIT
+        and -COORD_LIMIT <= y <= COORD_LIMIT
+        and 0.0 <= confidence <= 1.0
+    ):
+        return frame, Detection(frame, x, y, confidence)
+    return None
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Parse a detection file into a frame-indexed map, frames ascending."""
-    limit = COORD_LIMIT
-    grouped: dict[int, list[Detection]] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        fields = raw.split(",")
-        try:
-            frame, x, y = int(fields[0]), float(fields[1]), float(fields[2])
-            confidence = float(fields[3]) if len(fields) == 4 else 1.0
-            valid = (
-                frame >= 1
-                and len(fields) <= 4
-                and -limit <= x <= limit
-                and -limit <= y <= limit
-                and 0.0 <= confidence <= 1.0
-            )
-        except (ValueError, IndexError):
-            valid = False
-        if valid:
-            detection = Detection(frame, x, y, confidence)
-        else:
-            detection = _located_detection(raw, line_no)
-            if detection is None:
-                continue
-        grouped.setdefault(detection.frame, []).append(detection)
-    return dict(sorted(grouped.items()))
+    return _read_lines(
+        text,
+        _fast_detection,
+        _DETECTION_FIELDS,
+        lambda frame, values: Detection(frame, *values),
+        optional=1,
+    )
 
 
 def write_detections(detections: Iterable[Detection]) -> str:
@@ -202,65 +237,46 @@ def write_detections(detections: Iterable[Detection]) -> str:
 
 _STATUS_BY_CHAR = {s.value: s for s in TrackStatus}
 _SOURCE_BY_CHAR = {s.value: s for s in RecordSource}
+_TRACK_FIELDS = (
+    ("track_id", _read_id),
+    ("x", _read_coord),
+    ("y", _read_coord),
+    ("vx", _read_coord),
+    ("vy", _read_coord),
+    ("status", partial(_read_code, _STATUS_BY_CHAR)),
+    ("source", partial(_read_code, _SOURCE_BY_CHAR)),
+)
 
 
-def _located_track(
-    raw: str, line_no: int, seen: dict[int, set[int]]
-) -> tuple[int, TrackRecord] | None:
-    located = _located_fields(raw, line_no, "frame,track_id,x,y,vx,vy,status,source", (8,))
-    if located is None:
-        return None
-    frame, fields = located
-    track_id = _parse_id(fields[1], line_no, "track_id", frame, seen)
-    x = _parse_coord(fields[2], line_no, "x")
-    y = _parse_coord(fields[3], line_no, "y")
-    vx = _parse_coord(fields[4], line_no, "vx")
-    vy = _parse_coord(fields[5], line_no, "vy")
-    status = _STATUS_BY_CHAR.get(fields[6].strip())
-    if status is None:
-        raise ParseError(f"status must be T or C, got {fields[6]!r}", line=line_no)
-    source = _SOURCE_BY_CHAR.get(fields[7].strip())
-    if source is None:
-        raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
-    return frame, TrackRecord(track_id, x, y, vx, vy, status, source)
+def _fast_track(tokens: list[str], seen: dict) -> tuple[int, TrackRecord] | None:
+    frame, track_id, x, y, vx, vy, status, source = tokens
+    frame, track_id = int(frame), int(track_id)
+    x, y, vx, vy = float(x), float(y), float(vx), float(vy)
+    status = _STATUS_BY_CHAR[status.strip()]
+    source = _SOURCE_BY_CHAR[source.strip()]
+    ids = seen.setdefault(frame, set())
+    if (
+        frame >= 1
+        and track_id >= 1
+        and track_id not in ids
+        and -COORD_LIMIT <= x <= COORD_LIMIT
+        and -COORD_LIMIT <= y <= COORD_LIMIT
+        and -COORD_LIMIT <= vx <= COORD_LIMIT
+        and -COORD_LIMIT <= vy <= COORD_LIMIT
+    ):
+        ids.add(track_id)
+        return frame, TrackRecord(track_id, x, y, vx, vy, status, source)
+    return None
 
 
 def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     """Parse a track file into a frame-indexed record map."""
-    limit = COORD_LIMIT
-    grouped: dict[int, list[TrackRecord]] = {}
-    seen: dict[int, set[int]] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        try:
-            frame, track_id, x, y, vx, vy, status, source = raw.split(",")
-            frame, track_id = int(frame), int(track_id)
-            x, y, vx, vy = float(x), float(y), float(vx), float(vy)
-            status = _STATUS_BY_CHAR[status.strip()]
-            source = _SOURCE_BY_CHAR[source.strip()]
-            ids = seen.setdefault(frame, set())
-            valid = (
-                frame >= 1
-                and track_id >= 1
-                and track_id not in ids
-                and -limit <= x <= limit
-                and -limit <= y <= limit
-                and -limit <= vx <= limit
-                and -limit <= vy <= limit
-            )
-        except (ValueError, KeyError):
-            valid = False
-        if valid:
-            ids.add(track_id)
-            record = TrackRecord(track_id, x, y, vx, vy, status, source)
-        else:
-            located = _located_track(raw, line_no, seen)
-            if located is None:
-                continue
-            frame, record = located
-        grouped.setdefault(frame, []).append(record)
+    grouped = _read_lines(
+        text, _fast_track, _TRACK_FIELDS, lambda frame, values: TrackRecord(*values)
+    )
     for records in grouped.values():
         records.sort(key=attrgetter("track_id"))
-    return dict(sorted(grouped.items()))
+    return grouped
 
 
 def write_tracks(results: Sequence[FrameResult]) -> str:
@@ -277,50 +293,31 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
     return "".join(lines)
 
 
-def _located_ground_truth(
-    raw: str, line_no: int, seen: dict[int, set[int]]
-) -> tuple[int, tuple[int, float, float]] | None:
-    located = _located_fields(raw, line_no, "frame,gt_id,x,y", (4,))
-    if located is None:
-        return None
-    frame, fields = located
-    gt_id = _parse_id(fields[1], line_no, "gt_id", frame, seen)
-    x = _parse_coord(fields[2], line_no, "x")
-    y = _parse_coord(fields[3], line_no, "y")
-    return frame, (gt_id, x, y)
+_GROUND_TRUTH_FIELDS = (("gt_id", _read_id), ("x", _read_coord), ("y", _read_coord))
+
+
+def _fast_ground_truth(tokens: list[str], seen: dict) -> tuple[int, tuple] | None:
+    frame, gt_id, x, y = tokens
+    frame, gt_id, x, y = int(frame), int(gt_id), float(x), float(y)
+    ids = seen.setdefault(frame, set())
+    if (
+        frame >= 1
+        and gt_id >= 1
+        and gt_id not in ids
+        and -COORD_LIMIT <= x <= COORD_LIMIT
+        and -COORD_LIMIT <= y <= COORD_LIMIT
+    ):
+        ids.add(gt_id)
+        return frame, (gt_id, x, y)
+    return None
 
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth file (``frame,gt_id,x,y``)."""
-    limit = COORD_LIMIT
-    frames: dict[int, list[tuple[int, float, float]]] = {}
-    seen: dict[int, set[int]] = {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        try:
-            frame, gt_id, x, y = raw.split(",")
-            frame, gt_id = int(frame), int(gt_id)
-            x, y = float(x), float(y)
-            ids = seen.setdefault(frame, set())
-            valid = (
-                frame >= 1
-                and gt_id >= 1
-                and gt_id not in ids
-                and -limit <= x <= limit
-                and -limit <= y <= limit
-            )
-        except ValueError:
-            valid = False
-        if valid:
-            ids.add(gt_id)
-            point = (gt_id, x, y)
-        else:
-            located = _located_ground_truth(raw, line_no, seen)
-            if located is None:
-                continue
-            frame, point = located
-        frames.setdefault(frame, []).append(point)
-    n_frames = max(frames) if frames else 0
-    return GroundTruth(n_frames=n_frames, frames=dict(sorted(frames.items())))
+    frames = _read_lines(
+        text, _fast_ground_truth, _GROUND_TRUTH_FIELDS, lambda frame, values: tuple(values)
+    )
+    return GroundTruth(n_frames=max(frames, default=0), frames=frames)
 
 
 def write_ground_truth(gt: GroundTruth) -> str:

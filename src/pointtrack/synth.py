@@ -102,7 +102,8 @@ class GroundTruth:
     """Exact target positions per frame: lists of (gt_id, x, y).
 
     Frame keys lie in 1..n_frames; each gt_id is at least 1 and appears
-    once per frame. Construction raises `UserError` naming the frame.
+    once per frame; coordinates are finite and within +-COORD_LIMIT.
+    Construction raises `UserError` naming the frame.
     """
 
     n_frames: int
@@ -113,11 +114,16 @@ class GroundTruth:
             if not 1 <= frame <= self.n_frames:
                 raise UserError(f"frame {frame} lies outside 1..{self.n_frames}")
             seen: set[int] = set()
-            for gt_id, _, _ in points:
+            for gt_id, x, y in points:
                 if gt_id < 1:
                     raise UserError(f"frame {frame}: gt_id must be >= 1, got {gt_id}")
                 if gt_id in seen:
                     raise UserError(f"gt_id {gt_id} appears twice in frame {frame}")
+                if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+                    raise UserError(
+                        f"frame {frame}: gt_id {gt_id} at ({x}, {y}) must be finite "
+                        f"and within +-{COORD_LIMIT:g}"
+                    )
                 seen.add(gt_id)
 
     def at(self, frame: int) -> list[tuple[int, float, float]]:
@@ -154,12 +160,17 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
     width, height = spec.bounds
     truth: dict[int, list[tuple[int, float, float]]] = {}
     detections: list[Detection] = []
+    born_on: dict[int, list[tuple[int, TargetPath]]] = {}
+    for gt_id, target in enumerate(spec.targets, start=1):
+        born_on.setdefault(target.birth_frame, []).append((gt_id, target))
+    death_frames = {target.death_frame for target in spec.targets}
+    alive: list[tuple[int, TargetPath]] = []  # (gt_id, target), in declaration order
 
     for frame in range(1, spec.n_frames + 1):
+        if frame in born_on:
+            alive = sorted(alive + born_on[frame])  # gt_ids are unique
         points: list[tuple[int, float, float]] = []
-        for gt_id, target in enumerate(spec.targets, start=1):
-            if not target.birth_frame <= frame <= target.death_frame:
-                continue
+        for gt_id, target in alive:
             age = frame - target.birth_frame
             x = target.start_x + age * target.vx
             y = target.start_y + age * target.vy
@@ -172,6 +183,8 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
         for _ in range(stream.poisson(spec.clutter_rate)):
             detections.append(Detection(frame, stream.uniform() * width, stream.uniform() * height))
         truth[frame] = points
+        if frame in death_frames:
+            alive = [(gt_id, target) for gt_id, target in alive if target.death_frame > frame]
     return GroundTruth(n_frames=spec.n_frames, frames=truth), detections
 
 
@@ -187,10 +200,16 @@ def _records_by_frame(
             raise AlignmentError(f"duplicate results for frame {result.frame}")
         if result.frame < 1:
             raise AlignmentError(f"result frame {result.frame} is not a valid frame index")
-        by_frame[result.frame] = sorted(
-            (r for r in result.records if r.status in wanted),
-            key=lambda r: r.track_id,
-        )
+        records = []
+        for r in result.records:
+            if not (abs(r.x) <= COORD_LIMIT and abs(r.y) <= COORD_LIMIT):
+                raise UserError(
+                    f"frame {result.frame}: track {r.track_id} at ({r.x}, {r.y}) must be "
+                    f"finite and within +-{COORD_LIMIT:g}"
+                )
+            if r.status in wanted:
+                records.append(r)
+        by_frame[result.frame] = sorted(records, key=lambda r: r.track_id)
     return by_frame
 
 
@@ -213,6 +232,8 @@ def evaluate(
     Raises:
         ParamError: when `match_radius` is not finite and positive.
         AlignmentError: on duplicate or non-positive result frames.
+        UserError: when a record's position is not finite or lies beyond
+            COORD_LIMIT.
     """
     if not (math.isfinite(match_radius) and match_radius > 0):
         raise ParamError(f"match_radius must be finite and positive, got {match_radius}")

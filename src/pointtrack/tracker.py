@@ -20,8 +20,10 @@ Lifecycle: a track is its id, birth frame b and miss streak. It is
 Confirmed on frame f iff f - b + 1 >= `confirm_hits`, else Tentative: a
 Tentative track dies on its first miss, so a live track was hit on every
 frame until it was confirmed. Any track dies after `max_misses` consecutive
-misses and is reported Coasted while it has a miss streak, Measured
-otherwise. Track ids increase strictly at birth and are never reused.
+misses, or on the frame its position or velocity leaves +-COORD_LIMIT (a
+track file could not hold its record). A live track is reported Coasted
+while it has a miss streak, Measured otherwise. Track ids increase
+strictly at birth and are never reused.
 
 Frames are stepped one at a time: the filter predicts exactly one frame
 ahead and ages count frames, so after the first step `step` rejects any
@@ -292,6 +294,9 @@ class Tracker:
         claimed = set(col_of_row.values())
         unclaimed = [d for c, d in enumerate(usable) if c not in claimed]
         newborn = [kfilter.init_state(d.x, d.y, cfg.p0_pos, cfg.p0_vel) for d in unclaimed]
+        # A track whose position or velocity leaves the limit dies below.
+        inside = np.abs(x) <= COORD_LIMIT
+        escaped = set() if inside.all() else set(np.flatnonzero(~inside.all(axis=1)).tolist())
 
         # 4. Nothing below can fail: commit each track's hit or miss, keep the
         # survivors' rows, then append the newborn with consecutive ids.
@@ -299,6 +304,9 @@ class Tracker:
         keep: list[int] = []
         died: list[int] = []
         for r, track in enumerate(self.tracks):
+            if r in escaped:
+                died.append(track.id)
+                continue
             if r not in col_of_row:
                 misses = track.miss_streak + 1
                 if frame - track.birth_frame < cfg.confirm_hits or misses > cfg.max_misses:

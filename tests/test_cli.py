@@ -124,6 +124,17 @@ class TestTrack:
         assert main(["track", str(dets), str(out)]) == 0
         assert out.stat().st_mode == plain.stat().st_mode
 
+    def test_track_file_near_the_coordinate_limit_reads_back(self, tmp_path, capsys):
+        # A track reaching the limit ends there instead of writing a record
+        # beyond it, which eval and render would reject.
+        dets, gt, tracks = tmp_path / "d.csv", tmp_path / "gt.csv", tmp_path / "t.csv"
+        dets.write_text("".join(f"{f},{1e9 - 400 + 40 * f!r},0\n" for f in range(1, 11)))
+        gt.write_text("".join(f"{f},1,{1e9 - 400 + 40 * f!r},0\n" for f in range(1, 11)))
+        assert main(["track", str(dets), str(tracks)]) == 0
+        assert main(["eval", str(tracks), str(gt)]) == 0
+        assert main(["render", str(tracks), str(tmp_path / "svg")]) == 0
+        assert "matches=7\nmisses=3\n" in capsys.readouterr().out
+
     def test_byte_identical_reruns(self, tmp_path, scenario_file):
         dets, _, tracks = run_pipeline(tmp_path, scenario_file)
         first = open(tracks, "rb").read()

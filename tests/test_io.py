@@ -437,7 +437,7 @@ class TestOnePassParsers:
         fields = base.split(",")
         for i, misses in enumerate(_MISSES[kind]):
             for miss in misses + ["1"]:
-                for pad in ("", " ", "\r"):
+                for pad in ("", " ", "\r", "\x1c"):
                     second = fields[:i] + [pad + miss + pad] + fields[i + 1 :]
                     text = first + "\n" + ",".join(second) + "\n"
                     assert_parses_like_reference(parse, reference, text)

@@ -295,6 +295,15 @@ class TestGroundTruth:
             GroundTruth(n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: points})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, -math.inf), (1e300, 0.0)])
+    def test_non_finite_or_far_point_named_with_its_frame_and_id(self, x, y):
+        # Accepting it would end evaluate in a bare ValueError from solve.
+        with pytest.raises(UserError) as info:
+            GroundTruth(n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: [(1, 0.0, 0.0), (3, x, y)]})
+        assert str(info.value) == (
+            f"frame 2: gt_id 3 at ({x}, {y}) must be finite and within +-{COORD_LIMIT:g}"
+        )
+
     @pytest.mark.parametrize("frame", [0, -1, 4, 5])
     def test_frame_outside_horizon_named(self, frame):
         # Accepting frame 5 would let evaluate skip its point: misses == 1
@@ -428,6 +437,16 @@ class TestEvaluate:
         results = results_from_truth(gt)
         with pytest.raises(AlignmentError):
             evaluate(results + [results[0]], gt)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-1e300, 0.0)])
+    def test_non_finite_or_far_record_named_with_its_frame_and_track(self, x, y):
+        gt = GroundTruth(n_frames=2, frames={2: [(1, -1e9, 0.0)]})
+        record = TrackRecord(4, x, y, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.MEASURED)
+        with pytest.raises(UserError) as info:
+            evaluate([FrameResult(1, [], [], []), FrameResult(2, [record], [], [])], gt)
+        assert str(info.value) == (
+            f"frame 2: track 4 at ({x}, {y}) must be finite and within +-{COORD_LIMIT:g}"
+        )
 
     def test_nonpositive_frames_rejected(self):
         gt, _ = generate(spec_with())

@@ -277,6 +277,17 @@ class TestStep:
         assert snapshot(tracker) == before
         assert tracker.step(2, [det(2, 6, 5)]).records[0].source is RecordSource.MEASURED
 
+    def test_track_leaving_the_coordinate_limit_dies(self):
+        # Detections stay within the limit, but the filter's estimate of a
+        # target arriving at the limit overshoots it on the last frame.
+        tracker = Tracker()
+        for f in range(1, 10):
+            result = tracker.step(f, [det(f, COORD_LIMIT - 400 + 40 * f, 0.0)])
+            assert [r.track_id for r in result.records] == [1]
+        result = tracker.step(10, [det(10, COORD_LIMIT, 0.0)])
+        assert (result.records, result.born, result.died) == ([], [], [1])
+        assert tracker.tracks == [] and tracker.belief.x.shape == (0, 4)
+
     def test_detection_on_the_coordinate_limit_accepted(self):
         result = Tracker().step(1, [det(1, COORD_LIMIT, -COORD_LIMIT)])
         assert (result.records[0].x, result.records[0].y) == (COORD_LIMIT, -COORD_LIMIT)
