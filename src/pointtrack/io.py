@@ -49,7 +49,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .errors import ParseError
+from .errors import ParseError, UserError
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
     COORD_LIMIT,
@@ -280,14 +280,23 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
 
 
 def write_tracks(results: Sequence[FrameResult]) -> str:
-    """Serialize frame results in the canonical order (frame, then id)."""
+    """Serialize frame results in the canonical order (frame, then id).
+
+    Raises:
+        UserError: when a frame holds one track id twice, which
+            `parse_tracks` would reject.
+    """
     line = "%s,%s,%.6f,%.6f,%.6f,%.6f,%s,%s\n"
     lines = []
     for result in sorted(results, key=attrgetter("frame")):
         frame = result.frame
+        previous = None
         for track_id, x, y, vx, vy, status, source in sorted(
             result.records, key=attrgetter("track_id")
         ):
+            if track_id == previous:
+                raise UserError(f"track_id {track_id} appears twice in frame {frame}")
+            previous = track_id
             # `_value_` is the member's value without the `value` property's cost.
             lines.append(line % (frame, track_id, x, y, vx, vy, status._value_, source._value_))
     return "".join(lines)

@@ -16,6 +16,11 @@ Numerical conventions, chosen for long-run stability:
 * the 2x2 innovation covariance is inverted in closed form,
 * stacks are multiplied with `@` only, so each target's arithmetic is the
   same whether it is filtered alone or in a stack.
+
+F, Q, H, R and `init_state`'s covariance treat x and y alike and apart, so
+P keeps its x-y cross terms at exactly 0 and its x and y blocks equal, bit
+for bit: S is s I with s = P[0, 0] + sigma_z^2, which the tracker's gate
+radius reads.
 """
 
 from __future__ import annotations
@@ -137,12 +142,18 @@ def _invert_2x2(S: np.ndarray) -> np.ndarray:
     a, b = S[..., 0, 0], S[..., 0, 1]
     c, d = S[..., 1, 0], S[..., 1, 1]
     det = a * d - b * c
-    if not np.all(np.isfinite(det) & (np.abs(det) >= 1e-12)):
+    if not (np.isfinite(det) & (np.abs(det) >= 1e-12)).all():
         raise NumericalError(
             "innovation covariance is singular; check the measurement noise R"
         )
-    adjugate = np.stack([d, -b, -c, a], axis=-1).reshape(S.shape)
-    return adjugate / det[..., None, None]
+    # The adjugate [[d, -b], [-c, a]], written in place and divided by det.
+    inverse = np.empty_like(S)
+    inverse[..., 0, 0] = d
+    inverse[..., 1, 1] = a
+    np.negative(b, out=inverse[..., 0, 1])
+    np.negative(c, out=inverse[..., 1, 0])
+    inverse /= det[..., None, None]
+    return inverse
 
 
 def update(

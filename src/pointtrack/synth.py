@@ -201,12 +201,16 @@ def _records_by_frame(
         if result.frame < 1:
             raise AlignmentError(f"result frame {result.frame} is not a valid frame index")
         records = []
+        seen: set[int] = set()
         for r in result.records:
             if not (abs(r.x) <= COORD_LIMIT and abs(r.y) <= COORD_LIMIT):
                 raise UserError(
                     f"frame {result.frame}: track {r.track_id} at ({r.x}, {r.y}) must be "
                     f"finite and within +-{COORD_LIMIT:g}"
                 )
+            if r.track_id in seen:
+                raise UserError(f"track_id {r.track_id} appears twice in frame {result.frame}")
+            seen.add(r.track_id)
             if r.status in wanted:
                 records.append(r)
         by_frame[result.frame] = sorted(records, key=lambda r: r.track_id)

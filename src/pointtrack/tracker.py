@@ -10,6 +10,19 @@ that raises leaves the tracker as it was; one commit pass then records
 every track's hit or miss, drops the tracks that die and builds the next
 belief stack.
 
+Gate: a detection is in a track's gate when its squared Mahalanobis
+innovation y'S^-1 y is at most CHI2_GATE, the chi-square (2 degrees of
+freedom) quantile at GATE_PROBABILITY, as in DeepSORT (Wojke et al. 2017,
+section 2.2). The filter keeps P's x-y cross terms at exactly 0 and its x
+and y blocks equal, so S = s I with s = P[0, 0] + sigma_z^2 and the gate is
+a disc of radius sqrt(CHI2_GATE * s) around the predicted position, capped
+at `gate_px`. At the default config that is about 26 px for a newborn
+track and 8 px for a settled one. The cost stays the Euclidean distance.
+A target that moves faster than the velocity prior allows leaves its gate
+and is re-born each frame; widen the gate for such targets with `p0_vel`
+(the newborn's velocity variance) or `sigma_a` (the acceleration noise),
+not with `gate_px`, which is only the ceiling.
+
 `Tracker.tracks` is always in ascending id order. All live beliefs are one
 stacked `KalmanState`, `Tracker.belief`, whose row i is `tracks[i]`, so one
 `kfilter.predict` and one `kfilter.update` call serve the whole frame. Row
@@ -50,6 +63,12 @@ from .errors import EmptyError, OrderError, ParamError, UserError
 # frame for velocities). It lies far beyond any image and keeps squared
 # distances between points, and the filter arithmetic on them, finite.
 COORD_LIMIT = 1e9
+
+# Share of a track's true next positions its gate holds under the filter's
+# Gaussian belief, and the matching chi-square quantile with 2 degrees of
+# freedom, whose survival function is exp(-x/2): -2 ln(0.05) ~ 5.991.
+GATE_PROBABILITY = 0.95
+CHI2_GATE = -2.0 * math.log(1.0 - GATE_PROBABILITY)
 
 # Smallest accepted sigma_z. The innovation covariance is S = P[:2,:2] +
 # sigma_z^2 I, and P's x-y cross terms stay exactly 0, so det S >= sigma_z^4,
@@ -120,8 +139,10 @@ class TrackerConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ParamError(f"{name} must be finite and positive, got {value}")
-        # Bounded noise scales and variances keep the filter's products finite.
-        for name in ("sigma_a", "sigma_z", "p0_pos", "p0_vel"):
+        # Bounded noise scales and variances keep the filter's products
+        # finite, and a bounded gate_px keeps `associate`'s fill gate_px + 1
+        # above it.
+        for name in ("gate_px", "sigma_a", "sigma_z", "p0_pos", "p0_vel"):
             value = getattr(self, name)
             if value > COORD_LIMIT:
                 raise ParamError(f"{name} must be at most {COORD_LIMIT:g}, got {value}")
@@ -184,34 +205,39 @@ def gate(assignment: Assignment, cost: CostMatrix, gate_px: float) -> Assignment
     )
 
 
-def associate(cost: CostMatrix, gate_px: float) -> dict[int, int]:
+def associate(
+    cost: CostMatrix, gate_px: float, radius: np.ndarray | None = None
+) -> dict[int, int]:
     """Least-cost matching over the in-gate pairs, as a row -> column map.
 
-    Pairs with cost <= `gate_px` are in gate. Every out-of-gate cell is
-    priced at C = gate_px + 1, the cost of leaving a row unmatched (as in
-    DeepSORT's `min_cost_matching`, Wojke et al. 2017), so the result
-    minimizes sum(c - C) over in-gate matchings: out-of-gate distances
-    cannot steer which in-gate pairs are chosen. C is above every in-gate
-    cost. Only a `gate_px` of 2**53 or more absorbs the + 1, and every
-    distance the tracker builds is in such a gate (coordinates are bounded
-    by COORD_LIMIT), so then nothing is filled.
+    Pair (i, j) is in gate when cost[i, j] <= min(radius[i], gate_px):
+    `radius` holds one gate radius per row (the tracker's chi-square
+    radii), and without it every row's radius is `gate_px`. Every
+    out-of-gate cell is priced at C = gate_px + 1, the cost of leaving a row
+    unmatched (as in DeepSORT's `min_cost_matching`, Wojke et al. 2017), so
+    the result minimizes sum(c - C) over in-gate matchings: out-of-gate
+    distances cannot steer which in-gate pairs are chosen. C is above every
+    in-gate cost while gate_px + 1 > gate_px, which `TrackerConfig`'s bound
+    on gate_px keeps.
 
     A lone pair (the only in-gate entry of both its row and its column) is
     in every optimal matching and is taken directly. Every other row and
     column with an in-gate entry forms one constant-filled block, solved
-    and gated once; with no such rows, `solve` and `gate` are not called.
-    Within the block, ties follow `solve`'s lexicographic rule, so with rows
-    in track order the older track wins a shared detection. Rows come out
-    ascending.
+    and gated at `gate_px` once; with no such rows, `solve` and `gate` are
+    not called. Within the block, ties follow `solve`'s lexicographic rule,
+    so with rows in track order the older track wins a shared detection.
+    Rows come out ascending.
     """
-    rows, cols = np.nonzero(cost.values <= gate_px)
+    limit = gate_px if radius is None else np.minimum(radius, gate_px)[:, None]
+    inside = cost.values <= limit
+    rows, cols = np.nonzero(inside)
     lone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
     col_of_row = dict(zip(rows[lone].tolist(), cols[lone].tolist()))
     if len(col_of_row) < len(rows):
         block_rows = np.flatnonzero(np.bincount(rows[~lone]))
         block_cols = np.flatnonzero(np.bincount(cols[~lone]))
-        values = cost.values[np.ix_(block_rows, block_cols)]
-        block = CostMatrix(np.where(values <= gate_px, values, gate_px + 1.0))
+        within = np.ix_(block_rows, block_cols)
+        block = CostMatrix(np.where(inside[within], cost.values[within], gate_px + 1.0))
         for r, c in gate(solve(block), block, gate_px).pairs:
             col_of_row[int(block_rows[r])] = int(block_cols[c])
     return dict(sorted(col_of_row.items()))
@@ -277,11 +303,13 @@ class Tracker:
             belief = kfilter.predict(belief, self.model)
         x, P = belief.x, belief.P
 
-        # 2. Associate predictions with detections inside the gate.
+        # 2. Associate predictions with detections inside each track's
+        # chi-square gate; S = s I with s = P[0, 0] + sigma_z^2.
         col_of_row: dict[int, int] = {}
         if self.tracks and usable:
             cost = build_cost_matrix(x[:, :2], [(d.x, d.y) for d in usable])
-            col_of_row = associate(cost, cfg.gate_px)
+            radius = np.sqrt(CHI2_GATE * (P[:, 0, 0] + self.model.R[0, 0]))
+            col_of_row = associate(cost, cfg.gate_px, radius)
 
         # 3. Correct the matched rows in one call; every unclaimed detection
         # starts a belief.

@@ -126,11 +126,15 @@ class TestTrack:
 
     def test_track_file_near_the_coordinate_limit_reads_back(self, tmp_path, capsys):
         # A track reaching the limit ends there instead of writing a record
-        # beyond it, which eval and render would reject.
+        # beyond it, which eval and render would reject. The target jumps
+        # 40 px a frame from birth, so p0_vel widens the newborn's
+        # chi-square radius to ~50 px to keep one track.
         dets, gt, tracks = tmp_path / "d.csv", tmp_path / "gt.csv", tmp_path / "t.csv"
+        config = tmp_path / "fast.cfg"
         dets.write_text("".join(f"{f},{1e9 - 400 + 40 * f!r},0\n" for f in range(1, 11)))
         gt.write_text("".join(f"{f},1,{1e9 - 400 + 40 * f!r},0\n" for f in range(1, 11)))
-        assert main(["track", str(dets), str(tracks)]) == 0
+        config.write_text("p0_vel = 400\n")
+        assert main(["track", str(dets), str(tracks), "--config", str(config)]) == 0
         assert main(["eval", str(tracks), str(gt)]) == 0
         assert main(["render", str(tracks), str(tmp_path / "svg")]) == 0
         assert "matches=7\nmisses=3\n" in capsys.readouterr().out

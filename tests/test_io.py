@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointtrack.errors import ParseError
+from pointtrack.errors import ParseError, UserError
 from pointtrack.io import (
     PALETTE,
     parse_config,
@@ -145,6 +145,22 @@ class TestTrackFile:
 
     def test_empty_results(self):
         assert write_tracks([]) == ""
+
+    def test_repeated_track_id_in_a_frame_rejected(self):
+        # parse_tracks would reject the file such a frame gives.
+        recs = [
+            TrackRecord(1, 0, 0, 0, 0, TrackStatus.CONFIRMED, RecordSource.MEASURED),
+            TrackRecord(2, 50, 0, 0, 0, TrackStatus.CONFIRMED, RecordSource.MEASURED),
+            TrackRecord(1, 100, 0, 0, 0, TrackStatus.TENTATIVE, RecordSource.COASTED),
+        ]
+        valid = FrameResult(1, recs[:2], [], [])
+        with pytest.raises(UserError) as info:
+            write_tracks([valid, FrameResult(2, recs, [], [])])
+        assert str(info.value) == "track_id 1 appears twice in frame 2"
+        assert write_tracks([valid]) == (
+            "1,1,0.000000,0.000000,0.000000,0.000000,C,M\n"
+            "1,2,50.000000,0.000000,0.000000,0.000000,C,M\n"
+        )
 
     def test_track_id_ordering_within_frame(self):
         recs = [

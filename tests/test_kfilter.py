@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -264,3 +264,52 @@ class TestStackedStates:
         update(state, z, noiseless)  # the intact stack has no singular S
         with pytest.raises(NumericalError):
             update(KalmanState(x=state.x, P=P), z, noiseless)
+
+
+def assert_isotropic(P):
+    """x and y are independent and alike: cross-axis terms 0, axis blocks equal."""
+    assert (P[..., 0, 1] == 0).all() and (P[..., 1, 0] == 0).all()
+    assert np.array_equal(P[..., 0, 0], P[..., 1, 1])
+    x_axis, y_axis = [0, 2], [1, 3]
+    assert (P[..., x_axis, :][..., y_axis] == 0).all()
+    assert (P[..., y_axis, :][..., x_axis] == 0).all()
+    assert np.array_equal(P[..., x_axis, :][..., x_axis], P[..., y_axis, :][..., y_axis])
+
+
+class TestIsotropy:
+    """P stays isotropic bit for bit, so each target's S is s I exactly.
+
+    The tracker's chi-square gate radius sqrt(CHI2_GATE * s), with
+    s = P[0, 0] + sigma_z^2, is exact only while this holds.
+    """
+
+    @settings(deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 6),
+        p0_pos=st.floats(1e-3, 1e6),
+        p0_vel=st.floats(1e-3, 1e6),
+        sigma_a=sigmas,
+        sigma_z=sigmas,
+        updates=st.lists(st.booleans(), max_size=12),
+    )
+    def test_predict_update_sequences_keep_covariance_isotropic(
+        self, data, n, p0_pos, p0_vel, sigma_a, sigma_z, updates
+    ):
+        coords = st.floats(-1e4, 1e4)
+        model = make_cv_model(sigma_a, sigma_z)
+        starts = data.draw(arrays(float, (n, 2), elements=coords))
+        singles = [init_state(x, y, p0_pos, p0_vel) for x, y in starts.tolist()]
+        stack = KalmanState(
+            x=np.stack([s.x for s in singles]), P=np.stack([s.P for s in singles])
+        )
+        for measured in updates:
+            stack = predict(stack, model)
+            singles = [predict(s, model) for s in singles]
+            if measured:
+                z = data.draw(arrays(float, (n, 2), elements=coords))
+                stack, _ = update(stack, z, model)
+                singles = [update(s, zi, model)[0] for s, zi in zip(singles, z)]
+            assert_isotropic(stack.P)
+            for single in singles:
+                assert_isotropic(single.P)

@@ -20,7 +20,6 @@ from pointtrack.tracker import (
     RecordSource,
     TrackerConfig,
     TrackStatus,
-    build_cost_matrix,
     group_by_frame,
     run,
 )
@@ -122,6 +121,7 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
         name: counting(monkeypatch, module, name)
         for module, name in [
             (tracker_module, "build_cost_matrix"),
+            (tracker_module, "associate"),
             (tracker_module, "solve"),
             (tracker_module, "gate"),
             (kfilter, "predict"),
@@ -146,14 +146,15 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
     ]
     updates = sum(updates_per_frame)
     assert associated > 0 and updates > 0
-    assert len(calls["build_cost_matrix"]) == associated
-    # `solve` and `gate` run once per frame with an in-gate entry that is not
-    # the only one of both its row and its column, on the constant-filled
-    # block alone.
+    assert len(calls["build_cost_matrix"]) == len(calls["associate"]) == associated
+    # `solve` and `gate` run once per frame with an in-gate entry (within its
+    # track's chi-square radius) that is not the only one of both its row
+    # and its column, on the constant-filled block alone.
     gate_px = TrackerConfig().gate_px
     blocked = 0
-    for args in calls["build_cost_matrix"]:
-        inside = build_cost_matrix(*args).values <= gate_px
+    for cost, ceiling, radius in calls["associate"]:
+        assert ceiling == gate_px
+        inside = cost.values <= np.minimum(radius, gate_px)[:, None]
         degree = inside.sum(axis=1)[:, None] + inside.sum(axis=0)[None, :]
         blocked += bool((degree[inside] > 2).any())
     assert blocked > 0

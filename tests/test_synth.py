@@ -448,6 +448,25 @@ class TestEvaluate:
             f"frame 2: track 4 at ({x}, {y}) must be finite and within +-{COORD_LIMIT:g}"
         )
 
+    def test_repeated_track_id_in_a_frame_rejected(self):
+        # Scored, the two records would match both targets as two tracks.
+        gt = GroundTruth(n_frames=2, frames={f: [(1, 0.0, 0.0), (2, 100.0, 0.0)] for f in (1, 2)})
+        results = [
+            FrameResult(
+                f,
+                [
+                    TrackRecord(1, x, 0.0, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.MEASURED)
+                    for x in (0.0, 100.0)
+                ],
+                [],
+                [],
+            )
+            for f in (1, 2)
+        ]
+        with pytest.raises(UserError) as info:
+            evaluate(results, gt)
+        assert str(info.value) == "track_id 1 appears twice in frame 1"
+
     def test_nonpositive_frames_rejected(self):
         gt, _ = generate(spec_with())
         stray = FrameResult(frame=0, records=[], born=[], died=[])
@@ -499,7 +518,9 @@ CROSSING = ScenarioSpec(
 
 def test_crossing_scene_scores_are_pinned(monkeypatch):
     # The scores were computed before `solve` gained its nearest-column
-    # shortcut; the call counts show that both of its paths were taken.
+    # shortcut, and re-pinned when the tracker's fixed 50 px gate became
+    # the per-track chi-square radius (id_switches 10 -> 1); the call
+    # counts show that both of `solve`'s paths were taken.
     calls = {"solve": 0, "dual": 0}
 
     def counted(real, key):
@@ -519,11 +540,11 @@ def test_crossing_scene_scores_are_pinned(monkeypatch):
     gt, detections = generate(CROSSING)
     results = run(group_by_frame(detections), frame_range=(1, CROSSING.n_frames))
     assert evaluate(results, gt) == Metrics(
-        id_switches=10,
-        misses=28,
-        false_positives=94,
-        matches=392,
-        mota=0.6857142857142857,
-        fragmentation=9,
+        id_switches=1,
+        misses=11,
+        false_positives=10,
+        matches=409,
+        mota=0.9476190476190476,
+        fragmentation=0,
     )
     assert 0 < calls["dual"] < calls["solve"]

@@ -13,6 +13,7 @@ from pointtrack.assignment import EPS, CostMatrix, solve
 from pointtrack.errors import EmptyError, NumericalError, OrderError, ParamError, UserError
 from pointtrack.io import write_tracks
 from pointtrack.tracker import (
+    CHI2_GATE,
     COORD_LIMIT,
     SIGMA_Z_MIN,
     Detection,
@@ -119,18 +120,30 @@ def gated_costs(draw):
     )
     rows = draw(st.lists(st.lists(elements, min_size=m, max_size=m), min_size=n, max_size=n))
     gate_px = draw(st.one_of(st.integers(1, 8).map(float), st.floats(0.5, 80.0)))
-    return CostMatrix(np.array(rows, dtype=float)), gate_px
+    # Per-row radii, some above gate_px (which caps them); None means
+    # gate_px on every row.
+    radius = draw(
+        st.none()
+        | st.lists(elements, min_size=n, max_size=n).map(lambda r: np.array(r, dtype=float))
+    )
+    return CostMatrix(np.array(rows, dtype=float)), gate_px, radius
 
 
 class TestAssociate:
     @settings(max_examples=300, deadline=None)
     @given(gated_costs())
     def test_least_cost_matching_over_in_gate_pairs(self, case):
-        cost, gate_px = case
+        cost, gate_px, radius = case
         values = cost.values
         fill = gate_px + 1.0
-        inside = values <= gate_px
-        chosen = associate(cost, gate_px)
+        if radius is None:
+            limits = [gate_px] * len(values)
+        else:
+            limits = [min(r, gate_px) for r in radius.tolist()]
+        inside = np.array(
+            [[v <= limit for v in row] for row, limit in zip(values.tolist(), limits)]
+        )
+        chosen = associate(cost, gate_px, radius)
 
         assert list(chosen) == sorted(chosen)
         assert len(set(chosen.values())) == len(chosen)
@@ -279,14 +292,31 @@ class TestStep:
 
     def test_track_leaving_the_coordinate_limit_dies(self):
         # Detections stay within the limit, but the filter's estimate of a
-        # target arriving at the limit overshoots it on the last frame.
-        tracker = Tracker()
+        # target arriving at the limit overshoots it on the last frame. The
+        # target jumps 40 px a frame from birth, so p0_vel widens the
+        # newborn's chi-square radius to ~50 px to keep one track.
+        tracker = Tracker(TrackerConfig(p0_vel=400.0))
         for f in range(1, 10):
             result = tracker.step(f, [det(f, COORD_LIMIT - 400 + 40 * f, 0.0)])
             assert [r.track_id for r in result.records] == [1]
         result = tracker.step(10, [det(10, COORD_LIMIT, 0.0)])
         assert (result.records, result.born, result.died) == ([], [], [1])
         assert tracker.tracks == [] and tracker.belief.x.shape == (0, 4)
+
+    def test_fast_target_is_tracked_only_with_a_wide_velocity_prior(self):
+        # At the default p0_vel the newborn's chi-square radius is
+        # sqrt(CHI2_GATE * s) ~ 26 px, with s = p0_pos + p0_vel + sigma_a^2/4
+        # + sigma_z^2: a target jumping 40 px a frame from birth leaves it and
+        # is re-born every frame, though it stays inside gate_px.
+        stream = group_by_frame(linear_detections(8, (0.0, 0.0), (40.0, 0.0)))
+        newborn_s = 10.0 + 100.0 + 0.25 + 4.0
+        assert math.sqrt(CHI2_GATE * newborn_s) < 40.0 < TrackerConfig().gate_px
+        reborn = run(stream, TrackerConfig())
+        assert [fr.born for fr in reborn] == [[f] for f in range(1, 9)]
+        # p0_vel = 400 widens the newborn's radius to ~50 px.
+        tracked = run(stream, TrackerConfig(p0_vel=400.0))
+        assert [fr.born for fr in tracked] == [[1]] + [[]] * 7
+        assert [fr.died for fr in tracked] == [[]] * 8
 
     def test_detection_on_the_coordinate_limit_accepted(self):
         result = Tracker().step(1, [det(1, COORD_LIMIT, -COORD_LIMIT)])
@@ -327,16 +357,17 @@ def snapshot(tracker):
 class TestFailedStep:
     """A step that raises partway through leaves the tracker as it was."""
 
-    # Frame 3 predicts tracks 1 and 2 in one call; (40, 0) lies inside only
-    # track 1's gate, so track 1's row is solved and gated; it updates both
-    # tracks in one call (one stacked 2x2 inversion) and births three tracks.
+    # Frame 3 predicts tracks 1 and 2 in one call; (10, 0) lies inside only
+    # track 1's gate (a ~13 px chi-square radius around x ~ 1.8), so track
+    # 1's row is solved and gated; it updates both tracks in one call (one
+    # stacked 2x2 inversion) and births three tracks.
     FRAMES = {
         1: [det(1, 0, 0), det(1, 100, 0)],
         2: [det(2, 1, 0), det(2, 101, 0)],
         3: [
             det(3, 2, 0),
             det(3, 102, 0),
-            det(3, 40, 0),
+            det(3, 10, 0),
             det(3, 500, 500),
             det(3, 900, 900),
         ],
@@ -596,6 +627,7 @@ class TestConfigValidation:
             ("p0_pos", 1e300),
             ("p0_vel", 2 * COORD_LIMIT),
             ("sigma_a", 1.5 * COORD_LIMIT),
+            ("gate_px", 2 * COORD_LIMIT),
         ],
     )
     def test_filter_parameter_out_of_range_rejected_by_name(self, field, value):
