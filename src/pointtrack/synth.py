@@ -7,9 +7,11 @@ determined by the seed through the pinned stream in `rng`.
 
 `evaluate` scores tracker output against ground truth with CLEAR-style
 accounting: per frame, hypotheses are matched to ground-truth points by the
-tracker's own association step (`build_cost_matrix`, then the exact `solve`,
-hard-gated at a match radius); misses, false positives, identity switches
-and fragmentations are accumulated and folded into MOTA.
+tracker's own association rule (`build_cost_matrix`, then
+`associate(cost, match_radius)`: the least-cost matching over the pairs
+within the match radius, so a distance beyond the radius never decides
+which pairs within it are scored); misses, false positives, identity
+switches and fragmentations are accumulated and folded into MOTA.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
-from .assignment import solve
+from .assignment import solve  # unused, like `gate`: perfbench patches both here by name
 from .errors import AlignmentError, ParamError, SpecError, UserError
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
-    COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, build_cost_matrix, gate
+    COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, associate, build_cost_matrix, gate
 )
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
@@ -226,12 +228,16 @@ def evaluate(
     """Score tracker output against ground truth.
 
     Only Confirmed records participate unless `include_tentative` is set.
-    An identity switch is counted when the track id matched to a ground
-    truth target differs from the id it was matched to the previous time it
-    was matched; a fragmentation is counted each time a target is
-    re-acquired after unmatched frames. Result frames past the ground-truth
-    horizon are legal (a tracker may coast past the last live target);
-    records there count as false positives.
+    Each frame's ground-truth points (rows) and records (columns) are
+    matched by `tracker.associate(cost, match_radius)`: among the pairs at
+    most `match_radius` apart, the matching of least total distance, with
+    every farther pair priced at `match_radius + 1` so that it cannot steer
+    the choice. An identity switch is counted when the track id matched to
+    a ground truth target differs from the id it was matched to the
+    previous time it was matched; a fragmentation is counted each time a
+    target is re-acquired after unmatched frames. Result frames past the
+    ground-truth horizon are legal (a tracker may coast past the last live
+    target); records there count as false positives.
 
     Raises:
         ParamError: when `match_radius` is not finite and positive.
@@ -256,7 +262,7 @@ def evaluate(
             cost = build_cost_matrix(
                 [(x, y) for _, x, y in gt_points], [(r.x, r.y) for r in records]
             )
-            record_of = dict(gate(solve(cost), cost, match_radius).pairs)
+            record_of = associate(cost, match_radius)
 
         matches += len(record_of)
         misses += len(gt_points) - len(record_of)

@@ -217,8 +217,15 @@ def associate(
     unmatched (as in DeepSORT's `min_cost_matching`, Wojke et al. 2017), so
     the result minimizes sum(c - C) over in-gate matchings: out-of-gate
     distances cannot steer which in-gate pairs are chosen. C is above every
-    in-gate cost while gate_px + 1 > gate_px, which `TrackerConfig`'s bound
-    on gate_px keeps.
+    in-gate cost while gate_px + 1 > gate_px, that is while gate_px < 2^53.
+
+    Two callers share this rule. `Tracker.step` passes `TrackerConfig.gate_px`
+    and its chi-square radii; the config's bound on gate_px (at most
+    COORD_LIMIT) keeps the fill above it. `synth.evaluate` passes its
+    `match_radius`, which has no upper bound, with no `radius`. The fill is
+    safe there too: points within +-COORD_LIMIT are at most 2*sqrt(2)*1e9
+    < 2^53 apart, so a cell is filled only when match_radius is below that
+    distance, where match_radius + 1 > match_radius.
 
     A lone pair (the only in-gate entry of both its row and its column) is
     in every optimal matching and is taken directly. Every other row and

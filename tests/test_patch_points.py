@@ -80,7 +80,7 @@ def test_every_draw_goes_through_next_u64(monkeypatch, scene):
     assert len(draws) == 650
 
 
-def test_evaluate_solves_and_gates_once_per_scored_frame(monkeypatch, scene):
+def test_evaluate_associates_once_per_scored_frame(monkeypatch, scene):
     gt, _, results = scene
     confirmed = {
         fr.frame: [r for r in fr.records if r.status is TrackStatus.CONFIRMED]
@@ -90,10 +90,21 @@ def test_evaluate_solves_and_gates_once_per_scored_frame(monkeypatch, scene):
     assert any(gt.at(f) and not confirmed[f] for f in confirmed)
     assert any(confirmed[f] and not gt.at(f) for f in confirmed)
 
+    # `evaluate` reaches `solve` and `gate` only through `tracker.associate`,
+    # so perfbench's eval spans on `synth.solve` and `synth.gate` see no call.
+    associations = []
+    real_associate = synth.associate
+
+    def associate(*args, **kwargs):
+        associations.append((args[1:], kwargs))
+        return real_associate(*args, **kwargs)
+
+    monkeypatch.setattr(synth, "associate", associate)
     solves = counting(monkeypatch, synth, "solve")
     gates = counting(monkeypatch, synth, "gate")
-    evaluate(results, gt)
-    assert len(solves) == len(gates) == len(scored)
+    evaluate(results, gt, match_radius=7.5)
+    assert associations == [((7.5,), {})] * len(scored)
+    assert solves == gates == []
 
 
 def test_evaluate_does_not_reach_the_tracker_cost_builder(monkeypatch, scene):

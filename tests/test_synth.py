@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from pointtrack import assignment, synth
+from pointtrack import assignment
 from pointtrack import tracker as tracker_module
 from pointtrack.errors import AlignmentError, ParamError, SpecError, UserError
 from pointtrack.io import (
@@ -425,6 +425,28 @@ class TestEvaluate:
         assert metrics.misses == 1
         assert metrics.false_positives == 1
 
+    def test_out_of_radius_distance_does_not_pick_the_in_radius_pair(self):
+        # On frame 2 the whole-matrix optimum pairs target 1 with track 2
+        # (8 px) and target 2 with track 1 (12 px, beyond the radius); the
+        # in-radius matching keeps target 1 on track 1 (2 px).
+        gt = GroundTruth(
+            n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: [(1, 0.0, 0.0), (2, 14.0, 0.0)]}
+        )
+
+        def record(track_id, x):
+            return TrackRecord(
+                track_id, x, 0.0, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.MEASURED
+            )
+
+        results = [
+            FrameResult(1, [record(1, 2.0)], [], []),
+            FrameResult(2, [record(1, 2.0), record(2, -8.0)], [], []),
+        ]
+        metrics = evaluate(results, gt, match_radius=10.0)
+        assert metrics == Metrics(
+            id_switches=0, misses=1, false_positives=1, matches=2, mota=1 - 2 / 3, fragmentation=0
+        )
+
     @pytest.mark.parametrize("radius", [float("nan"), float("inf"), -5.0, 0.0])
     def test_match_radius_must_be_finite_and_positive(self, radius):
         gt, _ = generate(spec_with())
@@ -519,7 +541,8 @@ CROSSING = ScenarioSpec(
 def test_crossing_scene_scores_are_pinned(monkeypatch):
     # The scores were computed before `solve` gained its nearest-column
     # shortcut, and re-pinned when the tracker's fixed 50 px gate became
-    # the per-track chi-square radius (id_switches 10 -> 1); the call
+    # the per-track chi-square radius (id_switches 10 -> 1). Tracking and
+    # scoring both reach `solve` through `tracker.associate`; the call
     # counts show that both of `solve`'s paths were taken.
     calls = {"solve": 0, "dual": 0}
 
@@ -535,7 +558,6 @@ def test_crossing_scene_scores_are_pinned(monkeypatch):
         "_lex_min_tight_matching",
         counted(assignment._lex_min_tight_matching, "dual"),
     )
-    monkeypatch.setattr(synth, "solve", counted(synth.solve, "solve"))
     monkeypatch.setattr(tracker_module, "solve", counted(tracker_module.solve, "solve"))
     gt, detections = generate(CROSSING)
     results = run(group_by_frame(detections), frame_range=(1, CROSSING.n_frames))
