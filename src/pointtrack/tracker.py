@@ -177,6 +177,12 @@ def build_cost_matrix(
     this same builder (ground-truth points as rows, track records as
     columns).
 
+    The x and y differences are two (n, m) arrays, squared and added, not
+    one (n, m, 2) array summed over its last axis: numpy's reduction over a
+    trailing axis of length 2 is several times slower (130 us against 26 us
+    at 50 x 52, numpy 2.4 on a 2-vCPU Xeon), and dx*dx + dy*dy adds the
+    same two squares in the same order, so every entry has the same bits.
+
     Raises:
         EmptyError: if either side is empty; callers branch to the pure
             birth / pure miss paths instead.
@@ -185,8 +191,12 @@ def build_cost_matrix(
         raise EmptyError("cost matrix needs at least one row point and one column point")
     row_xy = np.asarray(rows, dtype=float)
     col_xy = np.asarray(cols, dtype=float)
-    deltas = row_xy[:, None, :] - col_xy[None, :, :]
-    return CostMatrix(np.sqrt((deltas**2).sum(axis=2)))
+    dx = row_xy[:, 0, None] - col_xy[:, 0]
+    dy = row_xy[:, 1, None] - col_xy[:, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return CostMatrix(np.sqrt(dx, out=dx))
 
 
 def gate(assignment: Assignment, cost: CostMatrix, gate_px: float) -> Assignment:
@@ -303,6 +313,7 @@ class Tracker:
                     f"frame {frame}: detection confidence {det.confidence} must lie in [0, 1]"
                 )
         usable = [d for d in detections if d.confidence >= cfg.min_confidence]
+        points = np.array([(d.x, d.y) for d in usable], dtype=float).reshape(-1, 2)
 
         # 1. Predict every live track at once; row i is self.tracks[i].
         belief = self.belief
@@ -314,7 +325,7 @@ class Tracker:
         # chi-square gate; S = s I with s = P[0, 0] + sigma_z^2.
         col_of_row: dict[int, int] = {}
         if self.tracks and usable:
-            cost = build_cost_matrix(x[:, :2], [(d.x, d.y) for d in usable])
+            cost = build_cost_matrix(x[:, :2], points)
             radius = np.sqrt(CHI2_GATE * (P[:, 0, 0] + self.model.R[0, 0]))
             col_of_row = associate(cost, cfg.gate_px, radius)
 
@@ -322,7 +333,7 @@ class Tracker:
         # starts a belief.
         if col_of_row:
             rows = list(col_of_row)
-            z = [(usable[c].x, usable[c].y) for c in col_of_row.values()]
+            z = points[list(col_of_row.values())]
             corrected, _ = kfilter.update(kfilter.KalmanState(x[rows], P[rows]), z, self.model)
             x, P = x.copy(), P.copy()
             x[rows], P[rows] = corrected.x, corrected.P
@@ -360,13 +371,16 @@ class Tracker:
             P=np.concatenate([P[keep], *(s.P[None] for s in newborn)]),
         )
 
-        # 5. Report every live track.
+        # 5. Report every live track; one born on or before `confirmed_by`
+        # has frame - birth_frame + 1 >= confirm_hits.
+        confirmed, tentative = TrackStatus.CONFIRMED, TrackStatus.TENTATIVE
+        coasted, measured = RecordSource.COASTED, RecordSource.MEASURED
+        confirmed_by = frame + 1 - cfg.confirm_hits
         records = [
             TrackRecord(
                 t.id, px, py, vx, vy,
-                TrackStatus.CONFIRMED if frame - t.birth_frame + 1 >= cfg.confirm_hits
-                else TrackStatus.TENTATIVE,
-                RecordSource.COASTED if t.miss_streak else RecordSource.MEASURED,
+                confirmed if t.birth_frame <= confirmed_by else tentative,
+                coasted if t.miss_streak else measured,
             )
             for t, (px, py, vx, vy) in zip(self.tracks, self.belief.x.tolist())
         ]

@@ -27,13 +27,26 @@ def random_state(rng, scale=50.0):
     return KalmanState(x=x, P=P)
 
 
+signed_zeros = st.sampled_from([0.0, -0.0])
+
+
 @st.composite
 def stacks(draw):
-    """N = 1..8 beliefs with general SPD covariances, one measurement each."""
+    """N = 1..8 beliefs with general SPD covariances, one measurement each.
+
+    Entries of x and off-diagonal pairs of P are often +-0.0 (the tracker's
+    covariances hold exact zero cross terms), so bitwise comparisons see
+    both signs of zero. P stays symmetric and its diagonal positive.
+    """
     n = draw(st.integers(1, 8))
-    x = draw(arrays(float, (n, 4), elements=st.floats(-1e4, 1e4)))
+    x = draw(arrays(float, (n, 4), elements=st.one_of(signed_zeros, st.floats(-1e4, 1e4))))
     root = draw(arrays(float, (n, 4, 4), elements=st.floats(-10.0, 10.0)))
     P = root @ np.swapaxes(root, -1, -2) + 1e-3 * np.eye(4)
+    i, j = np.triu_indices(4, 1)
+    zeroed = draw(arrays(bool, (n, len(i))))
+    zeros = draw(arrays(float, (n, len(i)), elements=signed_zeros))
+    P[:, i, j] = np.where(zeroed, zeros, P[:, i, j])
+    P[:, j, i] = P[:, i, j]
     z = draw(arrays(float, (n, 2), elements=st.floats(-1e4, 1e4)))
     return KalmanState(x=x, P=P), z
 
@@ -246,12 +259,12 @@ class TestStackedStates:
         for i in range(len(z)):
             one = KalmanState(x=state.x[i], P=state.P[i])
             alone = predict(one, model)
-            assert np.array_equal(predicted.x[i], alone.x)
-            assert np.array_equal(predicted.P[i], alone.P)
+            assert predicted.x[i].tobytes() == alone.x.tobytes()
+            assert predicted.P[i].tobytes() == alone.P.tobytes()
             alone, alone_innovation = update(one, z[i], model)
-            assert np.array_equal(updated.x[i], alone.x)
-            assert np.array_equal(updated.P[i], alone.P)
-            assert np.array_equal(innovation[i], alone_innovation)
+            assert updated.x[i].tobytes() == alone.x.tobytes()
+            assert updated.P[i].tobytes() == alone.P.tobytes()
+            assert innovation[i].tobytes() == alone_innovation.tobytes()
 
     @given(stack=stacks(), data=st.data(), bad=st.sampled_from([0.0, np.nan]))
     def test_one_singular_innovation_covariance_fails_the_stack(self, stack, data, bad):
@@ -264,6 +277,74 @@ class TestStackedStates:
         update(state, z, noiseless)  # the intact stack has no singular S
         with pytest.raises(NumericalError):
             update(KalmanState(x=state.x, P=P), z, noiseless)
+
+
+def transposed_view_predict(state, model):
+    """Reference `predict`: the same formula with F.T a strided view."""
+    F = model.F
+    P = F @ state.P @ F.T + model.Q
+    return KalmanState(x=state.x @ F.T, P=(P + np.swapaxes(P, -1, -2)) / 2.0)
+
+
+def transposed_view_update(state, z, model):
+    """Reference `update`: the same formulas with every transpose a strided view."""
+    x, P, H, R = state.x, state.P, model.H, model.R
+    innovation = z - x @ H.T
+    S = H @ P @ H.T + R
+    a, b, c, d = S[..., 0, 0], S[..., 0, 1], S[..., 1, 0], S[..., 1, 1]
+    adjugate = np.stack([np.stack([d, -b], axis=-1), np.stack([-c, a], axis=-1)], axis=-2)
+    K = P @ H.T @ (adjugate / (a * d - b * c)[..., None, None])
+    x_new = x + (K @ innovation[..., None])[..., 0]
+    I_KH = np.eye(4) - K @ H
+    P_new = I_KH @ P @ np.swapaxes(I_KH, -1, -2) + K @ R @ np.swapaxes(K, -1, -2)
+    return KalmanState(x=x_new, P=(P_new + np.swapaxes(P_new, -1, -2)) / 2.0), innovation
+
+
+def general_states(rng, n):
+    """n beliefs (n=None: one, unstacked) with general SPD covariances."""
+    lead = () if n is None else (n,)
+    root = rng.normal(0.0, 3.0, size=lead + (4, 4))
+    P = root @ np.swapaxes(root, -1, -2) + 1e-3 * np.eye(4)
+    return KalmanState(x=rng.normal(0.0, 300.0, size=lead + (4,)), P=P)
+
+
+def tracker_shaped_states(rng, n):
+    """n isotropic beliefs, as the tracker holds: x-y cross terms +-0.0."""
+    lead = () if n is None else (n,)
+    pos = rng.uniform(1e-3, 1e3, size=lead)
+    vel = rng.uniform(1e-3, 1e3, size=lead)
+    cov = rng.uniform(-0.9, 0.9, size=lead) * np.sqrt(pos * vel)
+    P = np.where(rng.random(lead + (4, 4)) < 0.5, -0.0, 0.0)
+    for axis in (0, 1):
+        P[..., axis, axis], P[..., axis + 2, axis + 2] = pos, vel
+        P[..., axis, axis + 2] = P[..., axis + 2, axis] = cov
+    P[..., 1, 0], P[..., 3, 2] = P[..., 0, 1], P[..., 2, 3]
+    P[..., 2, 1], P[..., 3, 0] = P[..., 1, 2], P[..., 0, 3]
+    x = rng.normal(0.0, 300.0, size=lead + (4,))
+    x[..., 2:] = np.where(rng.random(lead + (2,)) < 0.3, -0.0, x[..., 2:])
+    return KalmanState(x=x, P=P)
+
+
+class TestContiguousOperands:
+    """The contiguous right operands of `@` leave every bit as it was."""
+
+    @pytest.mark.parametrize("n", [None, 0, 1, 2, 3, 4, 5, 7, 13, 50, 120])
+    @pytest.mark.parametrize("make", [general_states, tracker_shaped_states])
+    def test_equals_transposed_view_formulas_bit_for_bit(self, n, make):
+        rng = np.random.default_rng(n or 0)
+        for _ in range(60):
+            model = make_cv_model(*rng.uniform(1e-2, 1e2, size=2))
+            state = make(rng, n)
+            z = rng.normal(0.0, 300.0, size=state.x.shape[:-1] + (2,))
+            updated, innovation = update(state, z, model)
+            want_updated, want_innovation = transposed_view_update(state, z, model)
+            for got, want in (
+                (predict(state, model), transposed_view_predict(state, model)),
+                (updated, want_updated),
+            ):
+                assert got.x.tobytes() == want.x.tobytes()
+                assert got.P.tobytes() == want.P.tobytes()
+            assert innovation.tobytes() == want_innovation.tobytes()
 
 
 def assert_isotropic(P):

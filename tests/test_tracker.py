@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pointtrack import kfilter
 from pointtrack import tracker as tracker_module
@@ -42,6 +43,18 @@ def linear_detections(n_frames, start, velocity, first_frame=1):
     ]
 
 
+# 1..6 points with coordinates in [-COORD_LIMIT, COORD_LIMIT], signed zeros
+# and the limits themselves drawn often.
+points = arrays(
+    float,
+    st.tuples(st.integers(1, 6), st.just(2)),
+    elements=st.one_of(
+        st.sampled_from([0.0, -0.0, COORD_LIMIT, -COORD_LIMIT]),
+        st.floats(-COORD_LIMIT, COORD_LIMIT),
+    ),
+)
+
+
 class TestBuildCostMatrix:
     def test_euclidean_entries(self):
         cost = build_cost_matrix([(0.0, 0.0), (10.0, 0.0)], [(0.0, 3.0), (10.0, 4.0)])
@@ -68,6 +81,30 @@ class TestBuildCostMatrix:
             build_cost_matrix([], [det(1, 0, 0)])
         with pytest.raises(EmptyError):
             build_cost_matrix([(1, 0.0, 0.0)], [])
+
+    @settings(max_examples=300)
+    @given(rows=points, cols=points, form=st.sampled_from(["array", "list", "view"]))
+    @example(rows=np.array([[0.0, -0.0]]), cols=np.array([[-0.0, 0.0]]), form="list")
+    @example(
+        rows=np.array([[COORD_LIMIT, -COORD_LIMIT]]),
+        cols=np.array([[-COORD_LIMIT, COORD_LIMIT], [0.0, -0.0], [1.5, 2.5]]),
+        form="array",
+    )
+    @example(
+        rows=np.array([[-COORD_LIMIT, -0.0], [COORD_LIMIT, 0.0], [3.0, -4.0]]),
+        cols=np.array([[0.0, 0.0]]),
+        form="view",
+    )
+    def test_bits_equal_the_trailing_axis_sum(self, rows, cols, form):
+        """Each entry has the bits of sqrt(sum over the last axis of delta**2)."""
+        expected = np.sqrt(((rows[:, None, :] - cols[None, :, :]) ** 2).sum(axis=2))
+        if form == "list":
+            rows, cols = [tuple(p) for p in rows.tolist()], [tuple(p) for p in cols.tolist()]
+        elif form == "view":  # the tracker passes the position columns of its means
+            rows = np.hstack([rows, np.ones_like(rows)])[:, :2]
+        cost = build_cost_matrix(rows, cols)
+        assert cost.values.shape == expected.shape
+        assert cost.values.tobytes() == expected.tobytes()
 
 
 class TestGate:
