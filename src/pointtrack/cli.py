@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import os
+import secrets
 import sys
-import tempfile
 from typing import Sequence
 
 from . import io as formats
@@ -28,24 +28,21 @@ def _read_text(path: str) -> str:
         raise UserError(f"{path} is not valid UTF-8: {exc.reason}") from exc
 
 
-# mkstemp makes owner-only files; outputs get the mode open() would give them.
-_UMASK = os.umask(0o22)
-os.umask(_UMASK)
-
-
 def _write_atomic(path: str, text: str) -> None:
     """Write through a unique temporary sibling that is renamed over `path`.
 
-    Concurrent writers never share a temporary file, and a failed write
-    removes its own, so only a complete file ever appears at `path`.
+    The sibling is created exclusively under a random name, so concurrent
+    writers never share one, with mode 0o666 less the umask in force at
+    the call, as open() would give. A failed write removes its own, so
+    only a complete file ever appears at `path`.
     """
     directory, name = os.path.split(path)
+    tmp_path = os.path.join(directory, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.", suffix=".tmp")
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-            os.chmod(tmp_path, 0o666 & ~_UMASK)
             os.replace(tmp_path, path)
         except BaseException:
             os.unlink(tmp_path)

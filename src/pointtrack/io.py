@@ -326,7 +326,7 @@ def parse_ground_truth(text: str) -> GroundTruth:
     frames = _read_lines(
         text, _fast_ground_truth, _GROUND_TRUTH_FIELDS, lambda frame, values: tuple(values)
     )
-    return GroundTruth(n_frames=max(frames, default=0), frames=frames)
+    return GroundTruth(frames=frames)
 
 
 def write_ground_truth(gt: GroundTruth) -> str:

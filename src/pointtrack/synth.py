@@ -103,18 +103,18 @@ class ScenarioSpec:
 class GroundTruth:
     """Exact target positions per frame: lists of (gt_id, x, y).
 
-    Frame keys lie in 1..n_frames; each gt_id is at least 1 and appears
-    once per frame; coordinates are finite and within +-COORD_LIMIT.
-    Construction raises `UserError` naming the frame.
+    The frame keys are the only record of which frames exist: each is at
+    least 1, and a frame with no key holds no target. Each gt_id is at
+    least 1 and appears once per frame; coordinates are finite and within
+    +-COORD_LIMIT. Construction raises `UserError` naming the frame.
     """
 
-    n_frames: int
     frames: dict[int, list[tuple[int, float, float]]]
 
     def __post_init__(self):
         for frame, points in self.frames.items():
-            if not 1 <= frame <= self.n_frames:
-                raise UserError(f"frame {frame} lies outside 1..{self.n_frames}")
+            if frame < 1:
+                raise UserError(f"frame {frame} must be >= 1")
             seen: set[int] = set()
             for gt_id, x, y in points:
                 if gt_id < 1:
@@ -187,7 +187,7 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
         truth[frame] = points
         if frame in death_frames:
             alive = [(gt_id, target) for gt_id, target in alive if target.death_frame > frame]
-    return GroundTruth(n_frames=spec.n_frames, frames=truth), detections
+    return GroundTruth(frames=truth), detections
 
 
 def _records_by_frame(
@@ -235,9 +235,11 @@ def evaluate(
     the choice. An identity switch is counted when the track id matched to
     a ground truth target differs from the id it was matched to the
     previous time it was matched; a fragmentation is counted each time a
-    target is re-acquired after unmatched frames. Result frames past the
-    ground-truth horizon are legal (a tracker may coast past the last live
-    target); records there count as false positives.
+    target is re-acquired after unmatched frames. The frames scored are
+    the keys of `gt.frames` and the result frames, ascending; a frame in
+    neither holds nothing to score. Result frames with no ground truth are
+    legal (a tracker may coast past the last live target); records there
+    count as false positives.
 
     Raises:
         ParamError: when `match_radius` is not finite and positive.
@@ -248,13 +250,12 @@ def evaluate(
     if not (math.isfinite(match_radius) and match_radius > 0):
         raise ParamError(f"match_radius must be finite and positive, got {match_radius}")
     by_frame = _records_by_frame(results, include_tentative)
-    horizon = max(gt.n_frames, max(by_frame, default=0))
 
     matches = misses = false_positives = id_switches = fragmentation = 0
     last_track: dict[int, int] = {}
     in_gap: set[int] = set()
 
-    for frame in range(1, horizon + 1):
+    for frame in sorted(gt.frames.keys() | by_frame.keys()):
         gt_points = gt.at(frame)
         records = by_frame.get(frame, [])
         record_of: dict[int, int] = {}

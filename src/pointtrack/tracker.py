@@ -38,10 +38,12 @@ track file could not hold its record). A live track is reported Coasted
 while it has a miss streak, Measured otherwise. Track ids increase
 strictly at birth and are never reused.
 
-Frames are stepped one at a time: the filter predicts exactly one frame
-ahead and ages count frames, so after the first step `step` rejects any
-frame but the next one. A frame with no detections is still stepped, with
-an empty list (as `run` does).
+While a track is live, frames are stepped one at a time: the filter
+predicts exactly one frame ahead and ages count frames, so `step` rejects
+any frame but the next one, and a frame with no detections is stepped with
+an empty list. With no live track there is nothing to predict, and the
+next step may be any later frame; `run` skips the empty stretches between
+tracks this way.
 """
 
 from __future__ import annotations
@@ -261,7 +263,7 @@ def associate(
 
 
 class Tracker:
-    """Sequential multi-target tracker; feed consecutive frames in order.
+    """Sequential multi-target tracker; feed frames ascending, consecutive while a track lives.
 
     A Tracker instance is a state machine and must not be shared between
     threads; independent instances are free to run concurrently.
@@ -282,9 +284,10 @@ class Tracker:
         """Process one frame worth of detections; see the module docstring.
 
         Raises:
-            OrderError: when the frame index is not positive on the first
-                step or not the previous frame + 1 after it, or a detection
-                is stamped with a different frame.
+            OrderError: when the frame index is not after the last stepped
+                frame (not positive on the first step), or skips frames
+                while a track is live, or a detection is stamped with a
+                different frame.
             UserError: when a detection coordinate is not finite or lies
                 beyond COORD_LIMIT, or its confidence is not in [0, 1].
         """
@@ -293,7 +296,7 @@ class Tracker:
             raise OrderError(
                 f"frame {frame} is not after last processed frame {self._last_frame}"
             )
-        if self._last_frame and frame != self._last_frame + 1:
+        if self.tracks and frame != self._last_frame + 1:
             raise OrderError(
                 f"frame {frame} skips frames after last processed frame {self._last_frame}; "
                 f"step frame {self._last_frame + 1} next, with no detections if it has none"
@@ -395,20 +398,28 @@ def run(
 ) -> list[FrameResult]:
     """Track a whole frame-indexed detection stream.
 
-    Steps every frame in `frame_range` (inclusive on both ends), including
-    frames with no detections. When the range is omitted it is inferred
-    from the stream's smallest and largest frame; an empty stream with no
-    explicit range yields no results.
+    Steps the stream's frames in `frame_range` (inclusive on both ends;
+    the stream's smallest to largest frame when omitted), ascending, and
+    while a track is live each empty frame after them up to the range's
+    end, so a live track is predicted one frame at a time. An empty frame
+    with no live track would report nothing and gets no result, so time
+    and memory follow the frames with content, not the span; an empty
+    stream yields no results.
     """
-    if frame_range is None:
-        if not detections_by_frame:
-            return []
-        frame_range = (min(detections_by_frame), max(detections_by_frame))
-    first, last = frame_range
+    first, last = frame_range or (
+        min(detections_by_frame, default=1), max(detections_by_frame, default=1)
+    )
     if first > last:
         raise OrderError(f"invalid frame range {first}..{last}")
-    tracker = Tracker(config)
-    return [tracker.step(f, detections_by_frame.get(f, [])) for f in range(first, last + 1)]
+    tracker, results = Tracker(config), []
+    # Frame last + 1 is never stepped; it only ends the coast through the
+    # empty frames after the last frame with detections.
+    for frame in [*sorted(f for f in detections_by_frame if first <= f <= last), last + 1]:
+        while tracker.tracks and results[-1].frame + 1 < frame:
+            results.append(tracker.step(results[-1].frame + 1, []))
+        if frame <= last:
+            results.append(tracker.step(frame, detections_by_frame[frame]))
+    return results
 
 
 def group_by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]]:

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import os
 import tempfile
+import time
 from io import StringIO
 
 import pytest
@@ -123,6 +124,32 @@ class TestTrack:
         out = tmp_path / "out.csv"
         assert main(["track", str(dets), str(out)]) == 0
         assert out.stat().st_mode == plain.stat().st_mode
+
+    def test_outputs_follow_the_umask_set_after_import(self, tmp_path, scenario_file):
+        old = os.umask(0o077)
+        try:
+            dets, gt, tracks = run_pipeline(tmp_path, scenario_file)
+        finally:
+            os.umask(old)
+        for path in (dets, gt, tracks):
+            assert os.stat(path).st_mode & 0o777 == 0o600
+        assert sorted(os.listdir(tmp_path)) == ["dets.csv", "gt.csv", "scenario.cfg", "tracks.csv"]
+
+    def test_frames_far_apart_run_in_moments(self, tmp_path, capsys):
+        # Track 1 dies on frame 2, its first miss; with no live track the
+        # 10^9 frames in between are neither stepped nor scored.
+        dets, gt, tracks = tmp_path / "d.csv", tmp_path / "gt.csv", tmp_path / "t.csv"
+        dets.write_text("1,10,10\n1000000000,20,20\n")
+        gt.write_text("1,1,10,10\n1000000000,1,20,20\n")
+        start = time.perf_counter()
+        assert main(["track", str(dets), str(tracks)]) == 0
+        assert main(["eval", str(tracks), str(gt), "--include-tentative"]) == 0
+        assert time.perf_counter() - start < 5.0
+        assert tracks.read_text() == (
+            "1,1,10.000000,10.000000,0.000000,0.000000,T,M\n"
+            "1000000000,2,20.000000,20.000000,0.000000,0.000000,T,M\n"
+        )
+        assert "matches=2\nmisses=0\nfalse_positives=0\nid_switches=1\n" in capsys.readouterr().out
 
     def test_track_file_near_the_coordinate_limit_reads_back(self, tmp_path, capsys):
         # A track reaching the limit ends there instead of writing a record

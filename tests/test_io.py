@@ -219,12 +219,8 @@ class TestTrackFile:
 
 class TestGroundTruthFile:
     def test_round_trip(self):
-        gt = GroundTruth(
-            n_frames=3,
-            frames={1: [(1, 5.0, 6.0)], 3: [(1, 7.0, 8.0), (2, 1.5, -2.25)]},
-        )
+        gt = GroundTruth(frames={1: [(1, 5.0, 6.0)], 3: [(1, 7.0, 8.0), (2, 1.5, -2.25)]})
         parsed = parse_ground_truth(write_ground_truth(gt))
-        assert parsed.n_frames == 3
         assert parsed.frames == gt.frames
 
     def test_malformed_located(self):
@@ -347,7 +343,7 @@ def reference_ground_truth(text):
         x = _ref_coord(fields[2], line_no, "x")
         y = _ref_coord(fields[3], line_no, "y")
         frames.setdefault(frame, []).append((gt_id, x, y))
-    return GroundTruth(n_frames=max(frames, default=0), frames=dict(sorted(frames.items())))
+    return GroundTruth(frames=dict(sorted(frames.items())))
 
 
 # Field tokens: valid ones, and near misses that a parser may accept or must
@@ -545,6 +541,6 @@ class TestRenderOverlay:
             )
             for f in range(1, 6)
         ]
-        gt = GroundTruth(n_frames=5, frames={1: [(1, 3.0, 4.0)]})
+        gt = GroundTruth(frames={1: [(1, 3.0, 4.0)]})
         for _, svg in render_overlay(results, (320, 240), gt=gt):
             ET.fromstring(svg)

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pointtrack import assignment
 from pointtrack import tracker as tracker_module
@@ -52,7 +54,7 @@ def spec_with(**overrides):
 def results_from_truth(gt, status=TrackStatus.CONFIRMED, relabel=None):
     """Feed ground truth back as tracker output with stable ids."""
     results = []
-    for frame in range(1, gt.n_frames + 1):
+    for frame in sorted(gt.frames):
         records = [
             TrackRecord(
                 track_id=relabel[gt_id] if relabel else gt_id,
@@ -292,27 +294,28 @@ class TestGroundTruth:
     )
     def test_bad_or_repeated_gt_id_named_with_its_frame(self, points, message):
         with pytest.raises(UserError) as info:
-            GroundTruth(n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: points})
+            GroundTruth(frames={1: [(1, 0.0, 0.0)], 2: points})
         assert str(info.value) == message
 
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, -math.inf), (1e300, 0.0)])
     def test_non_finite_or_far_point_named_with_its_frame_and_id(self, x, y):
         # Accepting it would end evaluate in a bare ValueError from solve.
         with pytest.raises(UserError) as info:
-            GroundTruth(n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: [(1, 0.0, 0.0), (3, x, y)]})
+            GroundTruth(frames={1: [(1, 0.0, 0.0)], 2: [(1, 0.0, 0.0), (3, x, y)]})
         assert str(info.value) == (
             f"frame 2: gt_id 3 at ({x}, {y}) must be finite and within +-{COORD_LIMIT:g}"
         )
 
-    @pytest.mark.parametrize("frame", [0, -1, 4, 5])
-    def test_frame_outside_horizon_named(self, frame):
-        # Accepting frame 5 would let evaluate skip its point: misses == 1
-        # and mota == 0.5 against an empty frame 1, though the count is 2.
-        with pytest.raises(UserError, match=f"frame {frame} lies outside 1..3"):
-            GroundTruth(n_frames=3, frames={1: [(2, 1.0, 1.0)], frame: [(1, 0.0, 0.0)]})
+    @pytest.mark.parametrize("frame", [0, -1])
+    def test_nonpositive_frame_named(self, frame):
+        with pytest.raises(UserError, match=f"frame {frame} must be >= 1"):
+            GroundTruth(frames={1: [(2, 1.0, 1.0)], frame: [(1, 0.0, 0.0)]})
 
-    def test_frames_on_the_horizon_accepted(self):
-        gt = GroundTruth(n_frames=3, frames={1: [(2, 1.0, 1.0)], 3: [(1, 0.0, 0.0)]})
+    @pytest.mark.parametrize("frame", [3, 4, 5, 10**9])
+    def test_every_frame_key_is_scored(self, frame):
+        # The keys are the frames: a point on any frame counts, however far
+        # it lies past the others, so misses == 2 and mota == 0.
+        gt = GroundTruth(frames={1: [(2, 1.0, 1.0)], frame: [(1, 0.0, 0.0)]})
         metrics = evaluate([FrameResult(1, [], [], [])], gt)
         assert (metrics.misses, metrics.mota) == (2, 0.0)
 
@@ -332,7 +335,7 @@ class TestEvaluate:
         frames = {
             f: [(1, 0.0, 0.0), (2, 50.0, 0.0)] for f in range(1, 11)
         }
-        gt = GroundTruth(n_frames=10, frames=frames)
+        gt = GroundTruth(frames=frames)
         swap_from = 6
         results = []
         for f in range(1, 11):
@@ -377,7 +380,7 @@ class TestEvaluate:
 
     def test_fragmentation_counts_reacquisitions(self):
         frames = {f: [(1, 0.0, 0.0)] for f in range(1, 8)}
-        gt = GroundTruth(n_frames=7, frames=frames)
+        gt = GroundTruth(frames=frames)
         results = [
             fr for fr in results_from_truth(gt) if fr.frame not in (3, 4)
         ]
@@ -388,7 +391,7 @@ class TestEvaluate:
     def test_reacquisition_by_another_track_counts_switch_and_fragment(self):
         # Track 1 holds target 1 on frames 1-2, nothing is reported on
         # frames 3-4, and track 2 takes the target up on frames 5-7.
-        gt = GroundTruth(n_frames=7, frames={f: [(1, 0.0, 0.0)] for f in range(1, 8)})
+        gt = GroundTruth(frames={f: [(1, 0.0, 0.0)] for f in range(1, 8)})
         results = [
             FrameResult(
                 f,
@@ -411,7 +414,7 @@ class TestEvaluate:
 
     def test_match_radius_gates_distant_hypotheses(self):
         frames = {1: [(1, 0.0, 0.0)]}
-        gt = GroundTruth(n_frames=1, frames=frames)
+        gt = GroundTruth(frames=frames)
         far = [
             FrameResult(
                 1,
@@ -430,7 +433,7 @@ class TestEvaluate:
         # (8 px) and target 2 with track 1 (12 px, beyond the radius); the
         # in-radius matching keeps target 1 on track 1 (2 px).
         gt = GroundTruth(
-            n_frames=2, frames={1: [(1, 0.0, 0.0)], 2: [(1, 0.0, 0.0), (2, 14.0, 0.0)]}
+            frames={1: [(1, 0.0, 0.0)], 2: [(1, 0.0, 0.0), (2, 14.0, 0.0)]}
         )
 
         def record(track_id, x):
@@ -462,7 +465,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-1e300, 0.0)])
     def test_non_finite_or_far_record_named_with_its_frame_and_track(self, x, y):
-        gt = GroundTruth(n_frames=2, frames={2: [(1, -1e9, 0.0)]})
+        gt = GroundTruth(frames={2: [(1, -1e9, 0.0)]})
         record = TrackRecord(4, x, y, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.MEASURED)
         with pytest.raises(UserError) as info:
             evaluate([FrameResult(1, [], [], []), FrameResult(2, [record], [], [])], gt)
@@ -472,7 +475,7 @@ class TestEvaluate:
 
     def test_repeated_track_id_in_a_frame_rejected(self):
         # Scored, the two records would match both targets as two tracks.
-        gt = GroundTruth(n_frames=2, frames={f: [(1, 0.0, 0.0), (2, 100.0, 0.0)] for f in (1, 2)})
+        gt = GroundTruth(frames={f: [(1, 0.0, 0.0), (2, 100.0, 0.0)] for f in (1, 2)})
         results = [
             FrameResult(
                 f,
@@ -500,7 +503,7 @@ class TestEvaluate:
         # false positives, not an alignment failure.
         gt, _ = generate(spec_with())
         stray = FrameResult(
-            frame=gt.n_frames + 2,
+            frame=max(gt.frames) + 2,
             records=[
                 TrackRecord(9, 0.0, 0.0, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.COASTED)
             ],
@@ -511,6 +514,53 @@ class TestEvaluate:
         assert metrics.false_positives == 1
         assert metrics.misses == 0
         assert metrics.matches == gt.total_points()
+
+
+def reference_evaluate(results, gt, **kwargs):
+    """Score over every frame of range(1, horizon + 1), empty ones included.
+
+    The horizon is the last frame of either side. Giving every frame of
+    the span a key, empty where it holds nothing, makes `evaluate` visit
+    exactly those frames; walking only the keys must score the same.
+    """
+    horizon = max([*gt.frames, *(fr.frame for fr in results)], default=0)
+    reported = {fr.frame for fr in results}
+    padding = [FrameResult(f, [], [], []) for f in range(1, horizon + 1) if f not in reported]
+    dense = GroundTruth(frames={f: gt.at(f) for f in range(1, horizon + 1)})
+    return evaluate(results + padding, dense, **kwargs)
+
+
+# Positions 0-5 px apart match within either radius below, 30 px apart never.
+spots = st.sampled_from([0.0, 4.0, 9.0, 30.0])
+
+
+@st.composite
+def sparse_scores(draw):
+    """Ground truth and records on sparse frames, with empty stretches and empty keys."""
+    truth, results = {}, []
+    for f in sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=15))):
+        gt_ids = draw(st.sets(st.integers(1, 3)))
+        track_ids = draw(st.sets(st.integers(1, 4)))
+        if gt_ids or draw(st.booleans()):
+            truth[f] = [(i, draw(spots), 0.0) for i in sorted(gt_ids)]
+        if track_ids or draw(st.booleans()):
+            records = [
+                TrackRecord(
+                    i, draw(spots), 0.0, 0.0, 0.0,
+                    draw(st.sampled_from(list(TrackStatus))), RecordSource.MEASURED,
+                )
+                for i in sorted(track_ids)
+            ]
+            results.append(FrameResult(f, records, [], []))
+    return results, GroundTruth(frames=truth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sparse_scores(), radius=st.sampled_from([5.0, 10.0]), tentative=st.booleans())
+def test_scores_match_a_walk_over_every_frame(case, radius, tentative):
+    results, gt = case
+    kwargs = dict(match_radius=radius, include_tentative=tentative)
+    assert evaluate(results, gt, **kwargs) == reference_evaluate(results, gt, **kwargs)
 
 
 # Six targets crossing near the centre, with misses and clutter: some frames

@@ -300,6 +300,15 @@ class TestStep:
         assert snapshot(tracker) == before
         assert tracker.step(4, [det(4, 40.0, 0.0)]).born == []
 
+    def test_frames_skip_only_with_no_live_track(self):
+        # With no live track there is nothing to predict across a gap.
+        tracker = Tracker(TrackerConfig(confirm_hits=3))
+        tracker.step(1, [det(1, 0.0, 0.0)])
+        with pytest.raises(OrderError, match="frame 3 .* frame 1"):
+            tracker.step(3, [])
+        assert tracker.step(2, []).died == [1]
+        assert tracker.step(10**9, [det(10**9, 5.0, 5.0)]).born == [2]
+
     def test_wrongly_stamped_detection_rejected(self):
         tracker = Tracker()
         with pytest.raises(OrderError):
@@ -454,10 +463,9 @@ class TestFailedStep:
 
 
 class TestRun:
-    def test_empty_stream_yields_empty_frames(self):
-        results = run({}, TrackerConfig(), frame_range=(1, 10))
-        assert len(results) == 10
-        assert all(r.records == [] and r.born == [] and r.died == [] for r in results)
+    def test_empty_stream_yields_no_results(self):
+        # With no detections no track is ever live, so no frame is stepped.
+        assert run({}, TrackerConfig(), frame_range=(1, 10)) == []
 
     def test_single_target_confirmed_without_id_churn(self):
         stream = group_by_frame(linear_detections(30, (10.0, 5.0), (3.0, 1.5)))
@@ -489,6 +497,57 @@ class TestRun:
     def test_invalid_range_rejected(self):
         with pytest.raises(OrderError):
             run({}, TrackerConfig(), frame_range=(5, 1))
+
+
+def reference_run(stream, config, frame_range):
+    """One step per frame of the range, empty ones included.
+
+    The reference for `run`, which skips the empty frames on which no
+    track is live: those report nothing, so the track bytes must agree.
+    """
+    tracker = Tracker(config)
+    first, last = frame_range
+    return [tracker.step(f, stream.get(f, [])) for f in range(first, last + 1)]
+
+
+@st.composite
+def sparse_streams(draw):
+    """A stream of bursts split by gaps shorter and longer than max_misses + 1.
+
+    Three sites lie 10 gates apart; each detection sits within 3 px of a
+    site moving 2 px a frame, and a burst's sites may go undetected, so
+    tracks are born, confirmed, coast and die. A frame of a burst may have
+    no detections but keep its (empty) key.
+    """
+    cfg = TrackerConfig(confirm_hits=draw(st.integers(1, 3)), max_misses=draw(st.integers(0, 4)))
+    stream = {}
+    frame = draw(st.integers(1, 5))
+    for _ in range(draw(st.integers(0, 4))):
+        sites = draw(st.sets(st.integers(0, 2), min_size=1))
+        for f in range(frame, frame + draw(st.integers(1, 8))):
+            seen = {s for s in sites if draw(st.integers(0, 3))}
+            stream[f] = [
+                det(f, 10 * cfg.gate_px * s + 2.0 * f + draw(st.floats(-3, 3)), 0.0)
+                for s in sorted(seen)
+            ]
+            frame = f + 1
+        frame += draw(st.integers(1, cfg.max_misses + 4))
+    # The explicit range may cut bursts off at either end or run past them.
+    first = draw(st.integers(1, frame))
+    return stream, cfg, (first, draw(st.integers(first, frame + cfg.max_misses + 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=sparse_streams(), explicit=st.booleans())
+def test_run_matches_stepping_every_frame(case, explicit):
+    stream, cfg, frame_range = case
+    if not explicit:
+        frame_range = (min(stream), max(stream)) if stream else None
+    expected = reference_run(stream, cfg, frame_range) if frame_range else []
+    results = run(stream, cfg, frame_range if explicit else None)
+    assert write_tracks(results) == write_tracks(expected)
+    # Only the empty frames with no live track, which report nothing, are skipped.
+    assert results == [fr for fr in expected if fr.records or fr.died or fr.frame in stream]
 
 
 def reference_lifecycle(site_frames, confirm_hits, max_misses):
