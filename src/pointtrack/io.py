@@ -21,7 +21,10 @@ Track and ground-truth ids are integers >= 1, each at most once per frame.
 Positions (x, y in every file) and track velocities (vx, vy) must lie in
 [-COORD_LIMIT, COORD_LIMIT], the tracker's bound re-exported here.
 ``ScenarioSpec`` rejects scenes whose points could leave it, so every file
-``synth`` writes parses.
+``synth`` writes parses. The writers write only what the parsers read:
+``write_detections`` and ``write_tracks`` raise a ``UserError`` naming the
+frame on anything else (``tracker.check_detections``,
+``tracker.records_by_frame``), and a ``GroundTruth`` checks itself when built.
 
 Each data format is one table of the fields after the frame, each named
 with its reader. The parsers read a line in one pass first: split on
@@ -46,10 +49,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import partial
+from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .errors import ParseError, UserError
+from .errors import ParseError
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
     COORD_LIMIT,
@@ -59,6 +63,8 @@ from .tracker import (
     TrackerConfig,
     TrackRecord,
     TrackStatus,
+    check_detections,
+    records_by_frame,
 )
 
 _TRACKER_KEYS = tuple(f.name for f in dataclasses.fields(TrackerConfig))
@@ -230,9 +236,19 @@ def parse_detections(text: str) -> dict[int, list[Detection]]:
 
 
 def write_detections(detections: Iterable[Detection]) -> str:
-    """Serialize detections, frames ascending, stable within a frame."""
+    """Serialize detections, frames ascending, stable within a frame.
+
+    Raises:
+        UserError: naming the frame, on a detection `parse_detections` would
+            reject: a frame below 1, a coordinate that is not finite or lies
+            beyond COORD_LIMIT, or a confidence outside [0, 1]
+            (`tracker.check_detections`).
+    """
+    ordered = sorted(detections, key=attrgetter("frame"))
+    for frame, frame_detections in groupby(ordered, attrgetter("frame")):
+        check_detections(frame, frame_detections)
     line = "%s,%.6f,%.6f,%.6f\n"
-    return "".join([line % d for d in sorted(detections, key=attrgetter("frame"))])
+    return "".join([line % d for d in ordered])
 
 
 _STATUS_BY_CHAR = {s.value: s for s in TrackStatus}
@@ -282,23 +298,23 @@ def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
 def write_tracks(results: Sequence[FrameResult]) -> str:
     """Serialize frame results in the canonical order (frame, then id).
 
+    Writes the lines of `tracker.records_by_frame(results)`, so a frame
+    with no records writes none, and `parse_tracks` reads every file it
+    writes.
+
     Raises:
-        UserError: when a frame holds one track id twice, which
-            `parse_tracks` would reject.
+        AlignmentError: on a frame below 1 or given twice.
+        UserError: when a track id is below 1 or appears twice in its
+            frame, or a position or velocity is not finite or lies beyond
+            COORD_LIMIT.
     """
     line = "%s,%s,%.6f,%.6f,%.6f,%.6f,%s,%s\n"
-    lines = []
-    for result in sorted(results, key=attrgetter("frame")):
-        frame = result.frame
-        previous = None
-        for track_id, x, y, vx, vy, status, source in sorted(
-            result.records, key=attrgetter("track_id")
-        ):
-            if track_id == previous:
-                raise UserError(f"track_id {track_id} appears twice in frame {frame}")
-            previous = track_id
-            # `_value_` is the member's value without the `value` property's cost.
-            lines.append(line % (frame, track_id, x, y, vx, vy, status._value_, source._value_))
+    # `_value_` is the member's value without the `value` property's cost.
+    lines = [
+        line % (frame, track_id, x, y, vx, vy, status._value_, source._value_)
+        for frame, records in records_by_frame(results).items()
+        for track_id, x, y, vx, vy, status, source in records
+    ]
     return "".join(lines)
 
 
@@ -424,18 +440,22 @@ def render_overlay(
     bounds: tuple[float, float],
     gt: GroundTruth | None = None,
 ) -> list[tuple[int, str]]:
-    """Render one SVG 1.1 document per frame result.
+    """Render one SVG 1.1 document per frame of `tracker.records_by_frame(results)`.
 
     Each live track is drawn as a circle at its reported position (filled
     when confirmed, outlined while tentative), an id label, and a polyline
     over its last TRAIL_LENGTH reported positions. Colors come from the
     fixed palette keyed by id, ground truth (when given) appears as small
     neutral crosses. Output is a deterministic function of the inputs.
+
+    Raises:
+        AlignmentError, UserError: as `records_by_frame`, on results a track
+            file could not hold.
     """
     width, height = float(bounds[0]), float(bounds[1])
     trails: dict[int, list[tuple[float, float]]] = {}
     documents = []
-    for result in sorted(results, key=lambda r: r.frame):
+    for frame, records in records_by_frame(results).items():
         parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n',
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -443,13 +463,13 @@ def render_overlay(
             f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="#14141e"/>\n',
         ]
         if gt is not None:
-            for _, x, y in gt.at(result.frame):
+            for _, x, y in gt.at(frame):
                 parts.append(
                     f'<path d="M {_svg_coord(x - 3)} {_svg_coord(y)} h 6 '
                     f'M {_svg_coord(x)} {_svg_coord(y - 3)} v 6" '
                     f'stroke="#8888aa" stroke-width="1" fill="none"/>\n'
                 )
-        for rec in sorted(result.records, key=lambda r: r.track_id):
+        for rec in records:
             trail = trails.setdefault(rec.track_id, [])
             trail.append((rec.x, rec.y))
             del trail[:-TRAIL_LENGTH]
@@ -475,5 +495,5 @@ def render_overlay(
                 f"{rec.track_id}</text>\n"
             )
         parts.append("</svg>\n")
-        documents.append((result.frame, "".join(parts)))
+        documents.append((frame, "".join(parts)))
     return documents

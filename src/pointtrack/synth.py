@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .assignment import solve  # unused, like `gate`: perfbench patches both here by name
-from .errors import AlignmentError, ParamError, SpecError, UserError
+from .errors import ParamError, SpecError, UserError
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
-    COORD_LIMIT, Detection, FrameResult, TrackRecord, TrackStatus, associate, build_cost_matrix, gate
+    COORD_LIMIT, Detection, FrameResult, TrackStatus, associate, build_cost_matrix, gate,
+    records_by_frame,
 )
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
@@ -157,6 +158,8 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
     Ground-truth ids are the 1-based indices of the targets in declaration
     order. Detections carry confidence 1.0; clutter points are uniform over
     the bounds and appended after the target detections of their frame.
+    Only frames where a target is alive are keys of the ground truth, as
+    in `io.parse_ground_truth`, so a written scene reads back equal.
     """
     stream = SplitMix64(spec.seed)
     width, height = spec.bounds
@@ -184,39 +187,11 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
             detections.append(Detection(frame, x + nx, y + ny))
         for _ in range(stream.poisson(spec.clutter_rate)):
             detections.append(Detection(frame, stream.uniform() * width, stream.uniform() * height))
-        truth[frame] = points
+        if points:
+            truth[frame] = points
         if frame in death_frames:
             alive = [(gt_id, target) for gt_id, target in alive if target.death_frame > frame]
     return GroundTruth(frames=truth), detections
-
-
-def _records_by_frame(
-    results: Iterable[FrameResult], include_tentative: bool
-) -> dict[int, list[TrackRecord]]:
-    wanted = {TrackStatus.CONFIRMED}
-    if include_tentative:
-        wanted.add(TrackStatus.TENTATIVE)
-    by_frame: dict[int, list[TrackRecord]] = {}
-    for result in results:
-        if result.frame in by_frame:
-            raise AlignmentError(f"duplicate results for frame {result.frame}")
-        if result.frame < 1:
-            raise AlignmentError(f"result frame {result.frame} is not a valid frame index")
-        records = []
-        seen: set[int] = set()
-        for r in result.records:
-            if not (abs(r.x) <= COORD_LIMIT and abs(r.y) <= COORD_LIMIT):
-                raise UserError(
-                    f"frame {result.frame}: track {r.track_id} at ({r.x}, {r.y}) must be "
-                    f"finite and within +-{COORD_LIMIT:g}"
-                )
-            if r.track_id in seen:
-                raise UserError(f"track_id {r.track_id} appears twice in frame {result.frame}")
-            seen.add(r.track_id)
-            if r.status in wanted:
-                records.append(r)
-        by_frame[result.frame] = sorted(records, key=lambda r: r.track_id)
-    return by_frame
 
 
 def evaluate(
@@ -244,12 +219,15 @@ def evaluate(
     Raises:
         ParamError: when `match_radius` is not finite and positive.
         AlignmentError: on duplicate or non-positive result frames.
-        UserError: when a record's position is not finite or lies beyond
-            COORD_LIMIT.
+        UserError: on any record, scored or not, that a track file could not
+            hold (`tracker.records_by_frame`): a track id below 1 or
+            repeated in its frame, or a position or velocity that is not
+            finite or lies beyond COORD_LIMIT.
     """
     if not (math.isfinite(match_radius) and match_radius > 0):
         raise ParamError(f"match_radius must be finite and positive, got {match_radius}")
-    by_frame = _records_by_frame(results, include_tentative)
+    wanted = set(TrackStatus) if include_tentative else {TrackStatus.CONFIRMED}
+    by_frame = records_by_frame(results)
 
     matches = misses = false_positives = id_switches = fragmentation = 0
     last_track: dict[int, int] = {}
@@ -257,7 +235,7 @@ def evaluate(
 
     for frame in sorted(gt.frames.keys() | by_frame.keys()):
         gt_points = gt.at(frame)
-        records = by_frame.get(frame, [])
+        records = [r for r in by_frame.get(frame, ()) if r.status in wanted]
         record_of: dict[int, int] = {}
         if gt_points and records:
             cost = build_cost_matrix(

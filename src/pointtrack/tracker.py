@@ -44,6 +44,10 @@ any frame but the next one, and a frame with no detections is stepped with
 an empty list. With no live track there is nothing to predict, and the
 next step may be any later frame; `run` skips the empty stretches between
 tracks this way.
+
+The readers of results (`io.write_tracks`, `synth.evaluate`,
+`io.render_overlay`) share one view of them, `records_by_frame`, checked
+once against the track file's rules.
 """
 
 from __future__ import annotations
@@ -52,13 +56,14 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import kfilter
 from .assignment import Assignment, CostMatrix, solve
-from .errors import EmptyError, OrderError, ParamError, UserError
+from .errors import AlignmentError, EmptyError, OrderError, ParamError, UserError
 
 
 # Largest accepted |coordinate| or |velocity| of a point, in pixels (per
@@ -289,7 +294,8 @@ class Tracker:
                 while a track is live, or a detection is stamped with a
                 different frame.
             UserError: when a detection coordinate is not finite or lies
-                beyond COORD_LIMIT, or its confidence is not in [0, 1].
+                beyond COORD_LIMIT, or its confidence is not in [0, 1]
+                (`check_detections`).
         """
         cfg = self.config
         if frame <= self._last_frame:
@@ -301,20 +307,7 @@ class Tracker:
                 f"frame {frame} skips frames after last processed frame {self._last_frame}; "
                 f"step frame {self._last_frame + 1} next, with no detections if it has none"
             )
-        for det in detections:
-            if det.frame != frame:
-                raise OrderError(
-                    f"detection stamped frame {det.frame} fed to step({frame})"
-                )
-            if not (abs(det.x) <= COORD_LIMIT and abs(det.y) <= COORD_LIMIT):
-                raise UserError(
-                    f"frame {frame}: detection at ({det.x}, {det.y}) must be finite "
-                    f"and within +-{COORD_LIMIT:g}"
-                )
-            if not 0.0 <= det.confidence <= 1.0:
-                raise UserError(
-                    f"frame {frame}: detection confidence {det.confidence} must lie in [0, 1]"
-                )
+        check_detections(frame, detections)
         usable = [d for d in detections if d.confidence >= cfg.min_confidence]
         points = np.array([(d.x, d.y) for d in usable], dtype=float).reshape(-1, 2)
 
@@ -338,7 +331,7 @@ class Tracker:
             rows = list(col_of_row)
             z = points[list(col_of_row.values())]
             corrected, _ = kfilter.update(kfilter.KalmanState(x[rows], P[rows]), z, self.model)
-            x, P = x.copy(), P.copy()
+            # x and P are predict's fresh arrays here, never self.belief's.
             x[rows], P[rows] = corrected.x, corrected.P
         claimed = set(col_of_row.values())
         unclaimed = [d for c, d in enumerate(usable) if c not in claimed]
@@ -428,3 +421,75 @@ def group_by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]
     for det in detections:
         grouped.setdefault(det.frame, []).append(det)
     return dict(sorted(grouped.items()))
+
+
+def check_detections(frame: int, detections: Iterable[Detection]) -> None:
+    """Check one frame's detections against the detection file's rules.
+
+    `Tracker.step` checks each frame it is fed, and `io.write_detections`
+    each frame it writes, so the tracker takes only detections a file can
+    hold and the writer writes only lines `io.parse_detections` reads.
+
+    Raises:
+        UserError: when the frame is below 1, or a detection coordinate is
+            not finite or lies beyond COORD_LIMIT, or its confidence is not
+            in [0, 1]; the message names the frame.
+        OrderError: when a detection is stamped with a different frame.
+    """
+    if frame < 1:
+        raise UserError(f"frame {frame} must be >= 1")
+    for det in detections:
+        if det.frame != frame:
+            raise OrderError(f"detection stamped frame {det.frame} fed to step({frame})")
+        if not (abs(det.x) <= COORD_LIMIT and abs(det.y) <= COORD_LIMIT):
+            raise UserError(
+                f"frame {frame}: detection at ({det.x}, {det.y}) must be finite "
+                f"and within +-{COORD_LIMIT:g}"
+            )
+        if not 0.0 <= det.confidence <= 1.0:
+            raise UserError(
+                f"frame {frame}: detection confidence {det.confidence} must lie in [0, 1]"
+            )
+
+
+def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackRecord]]:
+    """Each result's records by frame, frames ascending, track ids ascending.
+
+    The one view of tracker output that `io.write_tracks`, `synth.evaluate`
+    and `io.render_overlay` read. It is checked once against the track
+    file's rules, so `io.parse_tracks` reads back every file `write_tracks`
+    writes. Every result frame is a key, one with no records too.
+
+    Raises:
+        AlignmentError: on a frame below 1 or given twice.
+        UserError: naming the frame and the track, when a track id is below
+            1 or appears twice in its frame, or a position or velocity is
+            not finite or lies beyond COORD_LIMIT.
+    """
+    by_frame: dict[int, list[TrackRecord]] = {}
+    for result in results:
+        frame = result.frame
+        if frame in by_frame:
+            raise AlignmentError(f"duplicate results for frame {frame}")
+        if frame < 1:
+            raise AlignmentError(f"result frame {frame} is not a valid frame index")
+        records = sorted(result.records, key=attrgetter("track_id"))
+        previous = 0  # sorted, so a repeated id follows itself
+        for track_id, x, y, vx, vy, _, _ in records:
+            if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+                raise UserError(
+                    f"frame {frame}: track {track_id} at ({x}, {y}) must be finite "
+                    f"and within +-{COORD_LIMIT:g}"
+                )
+            if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):
+                raise UserError(
+                    f"frame {frame}: track {track_id} velocity ({vx}, {vy}) must be finite "
+                    f"and within +-{COORD_LIMIT:g}"
+                )
+            if track_id < 1:
+                raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")
+            if track_id == previous:
+                raise UserError(f"track_id {track_id} appears twice in frame {frame}")
+            previous = track_id
+        by_frame[frame] = records
+    return dict(sorted(by_frame.items()))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointtrack.errors import ParseError, UserError
+from pointtrack.errors import AlignmentError, ParseError, UserError
 from pointtrack.io import (
     PALETTE,
     parse_config,
@@ -29,6 +29,8 @@ from pointtrack.tracker import (
     RecordSource,
     TrackRecord,
     TrackStatus,
+    group_by_frame,
+    records_by_frame,
 )
 
 coords = st.floats(-10_000, 10_000, allow_nan=False, allow_infinity=False, width=64)
@@ -215,6 +217,142 @@ class TestTrackFile:
             parse_tracks(text)
         except ParseError as exc:
             assert exc.line is not None
+
+
+# Values no file may hold: not finite, or beyond COORD_LIMIT.
+FAR_OR_NOT_FINITE = (math.nan, math.inf, -math.inf, 2e9, -2e9)
+
+
+@st.composite
+def maybe_faulty(draw, good, bad, faulty):
+    """A draw of `good`; when `faulty`, now and then one of `bad` instead."""
+    if faulty and draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(bad))
+    return draw(good)
+
+
+@st.composite
+def results_with_faults(draw):
+    """Frame results; in about half the draws some frames, ids or values are faulty."""
+    faulty = draw(st.booleans())
+    velocities = st.floats(-50, 50, allow_nan=False, width=64)
+    results = []
+    for frame in draw(st.lists(st.integers(1, 12), max_size=5, unique=True)):
+        frame = draw(maybe_faulty(st.just(frame), (0, -1, *(r.frame for r in results[:1])), faulty))
+        records = []
+        for track_id in draw(st.lists(st.integers(1, 40), max_size=4, unique=True)):
+            repeat = (0, *(r.track_id for r in records[:1]))
+            records.append(
+                TrackRecord(
+                    draw(maybe_faulty(st.just(track_id), repeat, faulty)),
+                    draw(maybe_faulty(coords, FAR_OR_NOT_FINITE, faulty)),
+                    draw(maybe_faulty(coords, FAR_OR_NOT_FINITE, faulty)),
+                    draw(maybe_faulty(velocities, FAR_OR_NOT_FINITE, faulty)),
+                    draw(maybe_faulty(velocities, FAR_OR_NOT_FINITE, faulty)),
+                    draw(st.sampled_from(list(TrackStatus))),
+                    draw(st.sampled_from(list(RecordSource))),
+                )
+            )
+        results.append(FrameResult(frame, records, [], []))
+    return results
+
+
+@st.composite
+def detections_with_faults(draw):
+    """Detections; in about half the draws some frames, coordinates or confidences are faulty."""
+    faulty = draw(st.booleans())
+    return [
+        Detection(
+            draw(maybe_faulty(st.integers(1, 12), (0, -1), faulty)),
+            draw(maybe_faulty(coords, FAR_OR_NOT_FINITE, faulty)),
+            draw(maybe_faulty(coords, FAR_OR_NOT_FINITE, faulty)),
+            draw(maybe_faulty(st.floats(0, 1, width=64), (-0.1, 1.5), faulty)),
+        )
+        for _ in range(draw(st.integers(0, 12)))
+    ]
+
+
+def within_limit(values):
+    return all(abs(v) <= COORD_LIMIT for v in values)
+
+
+def track_file_holds(results):
+    """The track file's rules, stated apart from the library: frames >= 1,
+    each once; ids >= 1, each once per frame; positions and velocities
+    finite and within COORD_LIMIT."""
+    frames = [r.frame for r in results]
+    if len(set(frames)) < len(frames) or min(frames, default=1) < 1:
+        return False
+    for r in results:
+        ids = [rec.track_id for rec in r.records]
+        if len(set(ids)) < len(ids) or min(ids, default=1) < 1:
+            return False
+        if not within_limit(v for rec in r.records for v in rec[1:5]):
+            return False
+    return True
+
+
+def detection_file_holds(detections):
+    """The detection file's rules: frames >= 1, coordinates finite and within
+    COORD_LIMIT, confidences in [0, 1]."""
+    return all(
+        d.frame >= 1 and within_limit((d.x, d.y)) and 0.0 <= d.confidence <= 1.0
+        for d in detections
+    )
+
+
+def at_six_decimals(by_frame):
+    return {
+        frame: [
+            type(item)(*(round(v, 6) if isinstance(v, float) else v for v in item))
+            for item in items
+        ]
+        for frame, items in by_frame.items()
+    }
+
+
+class TestWritersWriteWhatParsersRead:
+    @settings(max_examples=200, deadline=None)
+    @given(results_with_faults())
+    def test_track_file_parses_back_or_writer_raises(self, results):
+        if not track_file_holds(results):
+            with pytest.raises(UserError):
+                write_tracks(results)
+            return
+        expected = {f: recs for f, recs in records_by_frame(results).items() if recs}
+        assert parse_tracks(write_tracks(results)) == at_six_decimals(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(detections_with_faults())
+    def test_detection_file_parses_back_or_writer_raises(self, detections):
+        if not detection_file_holds(detections):
+            with pytest.raises(UserError):
+                write_detections(detections)
+            return
+        parsed = parse_detections(write_detections(detections))
+        assert parsed == at_six_decimals(group_by_frame(detections))
+
+    @pytest.mark.parametrize(
+        "detection, message",
+        [
+            (Detection(0, 1.0, 2.0), "frame 0 must be >= 1"),
+            (Detection(-1, 1.0, 2.0), "frame -1 must be >= 1"),
+            (
+                Detection(3, math.nan, 2.0),
+                f"frame 3: detection at (nan, 2.0) must be finite and within +-{COORD_LIMIT:g}",
+            ),
+            (
+                Detection(3, 1.0, -2e9),
+                f"frame 3: detection at (1.0, -2000000000.0) must be finite "
+                f"and within +-{COORD_LIMIT:g}",
+            ),
+            (Detection(4, 1.0, 2.0, 1.5), "frame 4: detection confidence 1.5 must lie in [0, 1]"),
+        ],
+    )
+    def test_write_detections_names_the_frame_of_a_fault(self, detection, message):
+        with pytest.raises(UserError) as info:
+            write_detections([Detection(1, 0.0, 0.0), detection])
+        assert str(info.value) == message
 
 
 class TestGroundTruthFile:
@@ -544,3 +682,20 @@ class TestRenderOverlay:
         gt = GroundTruth(frames={1: [(1, 3.0, 4.0)]})
         for _, svg in render_overlay(results, (320, 240), gt=gt):
             ET.fromstring(svg)
+
+    def test_repeated_frame_rejected(self):
+        # One frame would otherwise give two documents for one file name.
+        results = [FrameResult(2, [self._record(1, 1, 1)], [], [])] * 2
+        with pytest.raises(AlignmentError) as info:
+            render_overlay(results, (640, 480))
+        assert str(info.value) == "duplicate results for frame 2"
+
+    def test_records_drawn_in_id_order_one_document_per_frame(self):
+        results = [
+            FrameResult(3, [self._record(7, 5, 5), self._record(2, 9, 9)], [], []),
+            FrameResult(1, [], [], []),
+        ]
+        documents = render_overlay(results, (640, 480))
+        assert [frame for frame, _ in documents] == [1, 3]
+        labels = [el.text for el in ET.fromstring(documents[1][1]) if el.tag.endswith("text")]
+        assert labels == ["2", "7"]

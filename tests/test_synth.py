@@ -280,6 +280,32 @@ class TestGenerate:
         assert parsed.frames[1] == [(1, COORD_LIMIT, -COORD_LIMIT)]
         assert parsed.frames[3] == [(1, -COORD_LIMIT, COORD_LIMIT)]
 
+    def test_ground_truth_keys_only_frames_with_points(self):
+        gt, _ = generate(ScenarioSpec(n_frames=6, targets=((3, 5, 0, 0, 1, 1),)))
+        assert list(gt.frames) == [3, 4, 5]
+        assert parse_ground_truth(write_ground_truth(gt)) == gt
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(1, n - 1), st.integers(1, n - 1)).map(
+                        lambda span: (min(span), max(span) + 1, 5.0, 5.0, 1.0, 0.5)
+                    ),
+                    max_size=4,
+                ),
+            )
+        ),
+        st.integers(0, 2**32),
+    )
+    def test_written_ground_truth_reads_back_equal(self, scene, seed):
+        n_frames, targets = scene
+        spec = ScenarioSpec(n_frames=n_frames, targets=tuple(targets), noise_sigma=1.0, seed=seed)
+        gt, _ = generate(spec)
+        assert parse_ground_truth(write_ground_truth(gt)) == gt
+
 
 class TestGroundTruth:
     @pytest.mark.parametrize(
@@ -472,6 +498,25 @@ class TestEvaluate:
         assert str(info.value) == (
             f"frame 2: track 4 at ({x}, {y}) must be finite and within +-{COORD_LIMIT:g}"
         )
+
+    @pytest.mark.parametrize("vx, vy", [(2e9, 0.0), (0.0, -math.inf), (math.nan, 0.0)])
+    def test_far_or_non_finite_velocity_named_with_its_frame_and_track(self, vx, vy):
+        # The record is Tentative and not scored, yet a track file could not hold it.
+        gt = GroundTruth(frames={1: [(1, 0.0, 0.0)]})
+        record = TrackRecord(4, 0.0, 0.0, vx, vy, TrackStatus.TENTATIVE, RecordSource.COASTED)
+        with pytest.raises(UserError) as info:
+            evaluate([FrameResult(1, [record], [], [])], gt)
+        assert str(info.value) == (
+            f"frame 1: track 4 velocity ({vx}, {vy}) must be finite and within "
+            f"+-{COORD_LIMIT:g}"
+        )
+
+    def test_track_id_below_one_rejected(self):
+        gt = GroundTruth(frames={1: [(1, 0.0, 0.0)]})
+        record = TrackRecord(0, 0.0, 0.0, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.MEASURED)
+        with pytest.raises(UserError) as info:
+            evaluate([FrameResult(1, [record], [], [])], gt)
+        assert str(info.value) == "frame 1: track_id must be >= 1, got 0"
 
     def test_repeated_track_id_in_a_frame_rejected(self):
         # Scored, the two records would match both targets as two tracks.
