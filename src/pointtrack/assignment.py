@@ -50,6 +50,7 @@ All operations are pure; input matrices are never modified.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,9 +81,12 @@ class CostMatrix:
         if v.ndim != 2:
             raise ValueError("cost matrix must be two-dimensional")
         if v.size:
-            if not np.all(np.isfinite(v)):
+            # A NaN makes both the min and the max NaN, which fails both
+            # comparisons.
+            low, high = v.min(), v.max()
+            if not (-math.inf < low and high < math.inf):
                 raise ValueError("cost matrix entries must be finite")
-            if v.min() < -EPS:
+            if low < -EPS:
                 raise ValueError("cost matrix entries must be nonnegative")
         object.__setattr__(self, "values", v)
 

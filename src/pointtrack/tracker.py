@@ -56,6 +56,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -245,18 +246,24 @@ def associate(
     distance, where match_radius + 1 > match_radius.
 
     A lone pair (the only in-gate entry of both its row and its column) is
-    in every optimal matching and is taken directly. Every other row and
-    column with an in-gate entry forms one constant-filled block, solved
-    and gated at `gate_px` once; with no such rows, `solve` and `gate` are
-    not called. Within the block, ties follow `solve`'s lexicographic rule,
-    so with rows in track order the older track wins a shared detection.
-    Rows come out ascending.
+    in every optimal matching and is taken directly. When no row and no
+    column holds two in-gate entries, every in-gate pair is lone, and the
+    pairs are returned as `nonzero` lists them, rows ascending, with no
+    further array work: the common frame of a sparse scene. Otherwise every
+    other row and column with an in-gate entry forms one constant-filled
+    block, solved and gated at `gate_px` once; with no such rows, `solve`
+    and `gate` are not called. Within the block, ties follow `solve`'s
+    lexicographic rule, so with rows in track order the older track wins a
+    shared detection. Rows come out ascending.
     """
     limit = gate_px if radius is None else np.minimum(radius, gate_px)[:, None]
     inside = cost.values <= limit
-    rows, cols = np.nonzero(inside)
+    rows, cols = inside.nonzero()
+    row_list, col_list = rows.tolist(), cols.tolist()
+    if len(set(row_list)) == len(row_list) and len(set(col_list)) == len(col_list):
+        return dict(zip(row_list, col_list))
     lone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
-    col_of_row = dict(zip(rows[lone].tolist(), cols[lone].tolist()))
+    col_of_row = dict(compress(zip(row_list, col_list), lone.tolist()))
     if len(col_of_row) < len(rows):
         block_rows = np.flatnonzero(np.bincount(rows[~lone]))
         block_cols = np.flatnonzero(np.bincount(cols[~lone]))
@@ -293,7 +300,8 @@ class Tracker:
                 frame (not positive on the first step), or skips frames
                 while a track is live, or a detection is stamped with a
                 different frame.
-            UserError: when a detection coordinate is not finite or lies
+            UserError: when the frame or a detection's frame is not an
+                integer, or a detection coordinate is not finite or lies
                 beyond COORD_LIMIT, or its confidence is not in [0, 1]
                 (`check_detections`).
         """
@@ -328,9 +336,12 @@ class Tracker:
         # 3. Correct the matched rows in one call; every unclaimed detection
         # starts a belief.
         if col_of_row:
-            rows = list(col_of_row)
-            z = points[list(col_of_row.values())]
-            corrected, _ = kfilter.update(kfilter.KalmanState(x[rows], P[rows]), z, self.model)
+            n = len(col_of_row)
+            rows = np.fromiter(col_of_row, np.intp, n)
+            cols = np.fromiter(col_of_row.values(), np.intp, n)
+            corrected, _ = kfilter.update(
+                kfilter.KalmanState(x[rows], P[rows]), points[cols], self.model
+            )
             # x and P are predict's fresh arrays here, never self.belief's.
             x[rows], P[rows] = corrected.x, corrected.P
         claimed = set(col_of_row.values())
@@ -341,7 +352,9 @@ class Tracker:
         escaped = set() if inside.all() else set(np.flatnonzero(~inside.all(axis=1)).tolist())
 
         # 4. Nothing below can fail: commit each track's hit or miss, keep the
-        # survivors' rows, then append the newborn with consecutive ids.
+        # survivors' rows, then append the newborn with consecutive ids. On a
+        # frame with no death and no birth every row survives in place, and
+        # the predicted (and corrected) stack is the next belief as it is.
         survivors: list[Track] = []
         keep: list[int] = []
         died: list[int] = []
@@ -362,10 +375,12 @@ class Tracker:
         born = list(range(self._next_id, self._next_id + len(newborn)))
         self._next_id += len(newborn)
         self.tracks = survivors + [Track(i, frame, 0) for i in born]
-        self.belief = kfilter.KalmanState(
-            x=np.concatenate([x[keep], *(s.x[None] for s in newborn)]),
-            P=np.concatenate([P[keep], *(s.P[None] for s in newborn)]),
-        )
+        if died or newborn:
+            belief = kfilter.KalmanState(
+                x=np.concatenate([x[keep], *(s.x[None] for s in newborn)]),
+                P=np.concatenate([P[keep], *(s.P[None] for s in newborn)]),
+            )
+        self.belief = belief
 
         # 5. Report every live track; one born on or before `confirmed_by`
         # has frame - birth_frame + 1 >= confirm_hits.
@@ -423,6 +438,11 @@ def group_by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]
     return dict(sorted(grouped.items()))
 
 
+def _is_integer(value: object) -> bool:
+    """An int or numpy integer, which prints as digits; a bool prints as a word."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     """Check one frame's detections against the detection file's rules.
 
@@ -431,25 +451,31 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     hold and the writer writes only lines `io.parse_detections` reads.
 
     Raises:
-        UserError: when the frame is below 1, or a detection coordinate is
-            not finite or lies beyond COORD_LIMIT, or its confidence is not
-            in [0, 1]; the message names the frame.
+        UserError: when the frame or a detection's frame is not an integer
+            (a bool is not), or the frame is below 1, or a detection
+            coordinate is not finite or lies beyond COORD_LIMIT, or its
+            confidence is not in [0, 1]; the message names the frame.
         OrderError: when a detection is stamped with a different frame.
     """
+    if not _is_integer(frame):
+        raise UserError(f"frame {frame!r} must be an integer")
     if frame < 1:
         raise UserError(f"frame {frame} must be >= 1")
-    for det in detections:
-        if det.frame != frame:
-            raise OrderError(f"detection stamped frame {det.frame} fed to step({frame})")
-        if not (abs(det.x) <= COORD_LIMIT and abs(det.y) <= COORD_LIMIT):
+    # Unpacking costs less than reading four attributes and pays for the
+    # type test. `type(...) is int` comes first: it holds for nearly every
+    # detection, and `_is_integer` costs several times more.
+    for det_frame, x, y, confidence in detections:
+        if det_frame != frame:
+            raise OrderError(f"detection stamped frame {det_frame} fed to step({frame})")
+        if type(det_frame) is not int and not _is_integer(det_frame):
+            raise UserError(f"frame {frame}: detection frame {det_frame!r} must be an integer")
+        if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
             raise UserError(
-                f"frame {frame}: detection at ({det.x}, {det.y}) must be finite "
+                f"frame {frame}: detection at ({x}, {y}) must be finite "
                 f"and within +-{COORD_LIMIT:g}"
             )
-        if not 0.0 <= det.confidence <= 1.0:
-            raise UserError(
-                f"frame {frame}: detection confidence {det.confidence} must lie in [0, 1]"
-            )
+        if not 0.0 <= confidence <= 1.0:
+            raise UserError(f"frame {frame}: detection confidence {confidence} must lie in [0, 1]")
 
 
 def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackRecord]]:
@@ -461,14 +487,17 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
     writes. Every result frame is a key, one with no records too.
 
     Raises:
-        AlignmentError: on a frame below 1 or given twice.
-        UserError: naming the frame and the track, when a track id is below
-            1 or appears twice in its frame, or a position or velocity is
-            not finite or lies beyond COORD_LIMIT.
+        AlignmentError: on a frame that is not an integer (a bool is not),
+            is below 1 or is given twice.
+        UserError: naming the frame and the track, when a track id is not
+            an integer, is below 1 or appears twice in its frame, or a
+            position or velocity is not finite or lies beyond COORD_LIMIT.
     """
     by_frame: dict[int, list[TrackRecord]] = {}
     for result in results:
         frame = result.frame
+        if not _is_integer(frame):
+            raise AlignmentError(f"result frame {frame!r} must be an integer")
         if frame in by_frame:
             raise AlignmentError(f"duplicate results for frame {frame}")
         if frame < 1:
@@ -486,6 +515,8 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
                     f"frame {frame}: track {track_id} velocity ({vx}, {vy}) must be finite "
                     f"and within +-{COORD_LIMIT:g}"
                 )
+            if type(track_id) is not int and not _is_integer(track_id):
+                raise UserError(f"frame {frame}: track_id must be an integer, got {track_id!r}")
             if track_id < 1:
                 raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")
             if track_id == previous:

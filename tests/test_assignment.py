@@ -43,6 +43,32 @@ def cost_matrices(draw, max_dim=7, integral=True):
     return matrix(rows)
 
 
+@pytest.mark.filterwarnings("error")  # the min/max checks must not warn
+class TestCostMatrixChecks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            matrix([[1.0, 2.0], [bad, 3.0]])
+
+    def test_infinity_and_negative_entry_reports_finite_first(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            matrix([[-5.0, np.inf]])
+
+    def test_negative_entry_beyond_eps_rejected(self):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            matrix([[1.0, -1e-8]])
+
+    def test_negative_entry_within_eps_accepted(self):
+        assert matrix([[1.0, -1e-10]]).values[0, 1] == -1e-10
+
+    def test_empty_matrix_accepted(self):
+        assert CostMatrix(np.zeros((0, 3))).n_cols == 3
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ValueError, match="two-dimensional"):
+            CostMatrix(np.zeros(3))
+
+
 class TestReductions:
     def test_row_reduction_subtracts_row_minima(self):
         reduced = reduce_rows(matrix([[4, 1, 3], [2, 0, 5], [3, 2, 2]]))

@@ -3,6 +3,7 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -272,6 +273,9 @@ def detections_with_faults(draw):
     ]
 
 
+CM = (TrackStatus.CONFIRMED, RecordSource.MEASURED)
+
+
 def within_limit(values):
     return all(abs(v) <= COORD_LIMIT for v in values)
 
@@ -353,6 +357,61 @@ class TestWritersWriteWhatParsersRead:
         with pytest.raises(UserError) as info:
             write_detections([Detection(1, 0.0, 0.0), detection])
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (1.5, "frame 1.5 must be an integer"),
+            # Equal to 1, so checked with frame 1's detections.
+            (1.0, "frame 1: detection frame 1.0 must be an integer"),
+            (True, "frame 1: detection frame True must be an integer"),
+        ],
+    )
+    def test_write_detections_rejects_a_frame_that_is_not_an_integer(self, frame, message):
+        with pytest.raises(UserError) as info:
+            write_detections([Detection(1, 0.0, 0.0), Detection(frame, 1.0, 2.0)])
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "results, error, message",
+        [
+            (
+                [FrameResult(1.5, [], [], [])],
+                AlignmentError,
+                "result frame 1.5 must be an integer",
+            ),
+            (
+                [FrameResult(True, [], [], [])],
+                AlignmentError,
+                "result frame True must be an integer",
+            ),
+            (
+                [FrameResult(1, [TrackRecord(True, 1.0, 2.0, 0.0, 0.0, *CM)], [], [])],
+                UserError,
+                "frame 1: track_id must be an integer, got True",
+            ),
+            (
+                [FrameResult(2, [TrackRecord(3.0, 1.0, 2.0, 0.0, 0.0, *CM)], [], [])],
+                UserError,
+                "frame 2: track_id must be an integer, got 3.0",
+            ),
+        ],
+    )
+    def test_write_tracks_rejects_a_frame_or_id_that_is_not_an_integer(
+        self, results, error, message
+    ):
+        with pytest.raises(error) as info:
+            write_tracks(results)
+        assert str(info.value) == message
+
+    def test_numpy_integer_frames_and_ids_write_as_digits(self):
+        record = TrackRecord(np.int64(7), 1.0, 2.0, 0.0, 0.0, *CM)
+        assert write_tracks([FrameResult(np.int32(3), [record], [], [])]) == (
+            "3,7,1.000000,2.000000,0.000000,0.000000,C,M\n"
+        )
+        assert write_detections([Detection(np.int64(2), 1.0, 2.0)]) == (
+            "2,1.000000,2.000000,1.000000\n"
+        )
 
 
 class TestGroundTruthFile:

@@ -205,6 +205,61 @@ class TestUpdate:
             assert np.abs(new.P - plain).max() < 1e-8
 
 
+@pytest.mark.filterwarnings("error")  # the min/max determinant test must not warn
+class TestSingularityCheck:
+    """`update` raises on an innovation covariance S whose determinant is
+    not finite or is below 1e-12 in magnitude, in any row of a stack."""
+
+    def noisy(self, R):
+        model = make_cv_model()
+        return MotionModel(F=model.F, Q=model.Q, H=model.H, R=R)
+
+    def stack(self, n):
+        x = np.arange(4.0 * n).reshape(n, 4)
+        return KalmanState(x=x, P=np.broadcast_to(np.eye(4), (n, 4, 4)).copy())
+
+    @pytest.mark.parametrize(
+        "R",
+        [
+            np.full((2, 2), np.nan),  # NaN S
+            np.diag([np.inf, np.inf]),  # infinite S, det = +inf
+            np.diag([np.inf, -np.inf]),  # det = -inf
+            1e-7 * np.eye(2),  # with P = 0, det = 1e-14
+        ],
+    )
+    def test_bad_innovation_covariance_raises(self, R):
+        P = np.zeros((4, 4)) if np.isfinite(R).all() else np.eye(4)
+        with pytest.raises(NumericalError, match="singular"):
+            update(KalmanState(x=np.zeros(4), P=P), (1.0, 1.0), self.noisy(R))
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.0])
+    def test_one_bad_row_fails_the_stack(self, bad):
+        # R = 1e-7 I: rows with P = I have det S ~ 1, a row with P = 0 has
+        # det S = 1e-14, and a NaN row a NaN det.
+        state = self.stack(3)
+        model = self.noisy(1e-7 * np.eye(2))
+        update(state, np.zeros((3, 2)), model)
+        state.P[1] = bad
+        with pytest.raises(NumericalError, match="singular"):
+            update(state, np.zeros((3, 2)), model)
+
+    def test_small_regular_determinant_passes(self):
+        # P = 0 and R = 2e-6 I give det S = 4e-12, above the threshold.
+        state = KalmanState(x=np.zeros(4), P=np.zeros((4, 4)))
+        new, _ = update(state, (1.0, 1.0), self.noisy(2e-6 * np.eye(2)))
+        assert new.x.tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    def test_empty_stack_passes(self):
+        new, innovation = update(self.stack(0), np.zeros((0, 2)), make_cv_model())
+        assert new.x.shape == (0, 4) and new.P.shape == (0, 4, 4)
+        assert innovation.shape == (0, 2)
+
+    def test_single_unstacked_state_passes(self):
+        state = KalmanState(x=np.zeros(4), P=np.eye(4))
+        new, innovation = update(state, (3.0, 4.0), make_cv_model())
+        assert new.x.shape == (4,) and innovation.tolist() == [3.0, 4.0]
+
+
 class TestNumericalInvariants:
     def test_symmetry_and_psd_preserved_over_random_cycles(self):
         rng = np.random.default_rng(314)

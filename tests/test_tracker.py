@@ -166,7 +166,52 @@ def gated_costs(draw):
     return CostMatrix(np.array(rows, dtype=float)), gate_px, radius
 
 
+@st.composite
+def lone_costs(draw):
+    """Costs whose in-gate pairs are all lone: a partial one-to-one map of
+    rows to columns is in gate, every other cell beyond it."""
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 5))
+    gate_px = draw(st.floats(0.5, 80.0))
+    pairs = zip(
+        draw(st.permutations(range(n))),
+        draw(st.permutations(range(m))),
+        draw(st.lists(st.booleans(), min_size=min(n, m), max_size=min(n, m))),
+    )
+    values = draw(arrays(float, (n, m), elements=st.floats(gate_px * 1.01, 1e4)))
+    for r, c, taken in pairs:
+        if taken:
+            values[r, c] = draw(st.floats(0.0, gate_px))
+    return CostMatrix(values), gate_px, None
+
+
+def bincount_associate(cost, gate_px, radius=None):
+    """`associate` by its first formula: degrees by `np.bincount` on every
+    frame, lone pairs taken, the rest solved as one block, rows sorted."""
+    limit = gate_px if radius is None else np.minimum(radius, gate_px)[:, None]
+    inside = cost.values <= limit
+    rows, cols = np.nonzero(inside)
+    lone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
+    col_of_row = dict(zip(rows[lone].tolist(), cols[lone].tolist()))
+    if len(col_of_row) < len(rows):
+        block_rows = np.flatnonzero(np.bincount(rows[~lone]))
+        block_cols = np.flatnonzero(np.bincount(cols[~lone]))
+        within = np.ix_(block_rows, block_cols)
+        block = CostMatrix(np.where(inside[within], cost.values[within], gate_px + 1.0))
+        for r, c in gate(solve(block), block, gate_px).pairs:
+            col_of_row[int(block_rows[r])] = int(block_cols[c])
+    return dict(sorted(col_of_row.items()))
+
+
 class TestAssociate:
+    @settings(max_examples=300, deadline=None)
+    @given(gated_costs() | lone_costs())
+    def test_equals_the_bincount_formula_in_order(self, case):
+        chosen = associate(*case)
+        expected = bincount_associate(*case)
+        assert list(chosen.items()) == list(expected.items())
+        assert all(type(r) is int and type(c) is int for r, c in chosen.items())
+
     @settings(max_examples=300, deadline=None)
     @given(gated_costs())
     def test_least_cost_matching_over_in_gate_pairs(self, case):
@@ -309,6 +354,23 @@ class TestStep:
         assert tracker.step(2, []).died == [1]
         assert tracker.step(10**9, [det(10**9, 5.0, 5.0)]).born == [2]
 
+    @pytest.mark.parametrize(
+        "frame, detections, message",
+        [
+            (1.5, [], "frame 1.5 must be an integer"),
+            (True, [], "frame True must be an integer"),
+            (1, [det(1, 0, 0), det(1.0, 5, 5)], "frame 1: detection frame 1.0 must be"),
+            (1, [det(True, 0, 0)], "frame 1: detection frame True must be"),
+        ],
+    )
+    def test_frame_that_is_not_an_integer_rejected(self, frame, detections, message):
+        with pytest.raises(UserError, match=message):
+            Tracker().step(frame, detections)
+
+    def test_numpy_integer_frames_accepted(self):
+        tracker = Tracker()
+        assert tracker.step(np.int64(1), [det(np.int32(1), 0, 0)]).born == [1]
+
     def test_wrongly_stamped_detection_rejected(self):
         tracker = Tracker()
         with pytest.raises(OrderError):
@@ -419,6 +481,14 @@ class TestFailedStep:
         ],
     }
 
+    # Frame 3 of these matches both tracks and has no birth and no death:
+    # the step keeps the predicted and corrected stack as the next belief.
+    CALM_FRAMES = {
+        1: [det(1, 0, 0), det(1, 100, 0)],
+        2: [det(2, 1, 0), det(2, 101, 0)],
+        3: [det(3, 2, 0), det(3, 102, 0)],
+    }
+
     @pytest.mark.parametrize(
         "module, name, failing_call",
         [
@@ -435,9 +505,26 @@ class TestFailedStep:
     def test_fault_leaves_state_and_retry_matches_fresh_run(
         self, monkeypatch, module, name, failing_call
     ):
+        retried = self.fail_then_retry(monkeypatch, self.FRAMES, module, name, failing_call)
+        assert retried.born == [3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [(kfilter, "predict"), (kfilter, "update"), (kfilter, "_invert_2x2")],
+    )
+    def test_fault_on_a_calm_frame_leaves_state(self, monkeypatch, module, name):
+        retried = self.fail_then_retry(monkeypatch, self.CALM_FRAMES, module, name, 1)
+        assert (retried.born, retried.died) == ([], [])
+        assert [r.source for r in retried.records] == [RecordSource.MEASURED] * 2
+
+    @staticmethod
+    def fail_then_retry(monkeypatch, frames, module, name, failing_call):
+        """Step frames 1 and 2, fail frame 3 on the chosen call of `name`,
+        check that nothing changed, then retry frame 3 unpatched and check
+        it equals a fresh run's; returns the retried result."""
         tracker = Tracker(TrackerConfig(confirm_hits=2))
         for frame in (1, 2):
-            tracker.step(frame, self.FRAMES[frame])
+            tracker.step(frame, frames[frame])
         before = snapshot(tracker)
 
         real = getattr(module, name)
@@ -452,14 +539,18 @@ class TestFailedStep:
 
         monkeypatch.setattr(module, name, fail_on_chosen_call)
         with pytest.raises(NumericalError, match="injected"):
-            tracker.step(3, self.FRAMES[3])
+            tracker.step(3, frames[3])
         assert calls == failing_call
         assert snapshot(tracker) == before
 
         monkeypatch.undo()
-        retried = tracker.step(3, self.FRAMES[3])
-        assert retried == run(self.FRAMES, TrackerConfig(confirm_hits=2))[-1]
-        assert retried.born == [3, 4, 5]
+        retried = tracker.step(3, frames[3])
+        assert retried == run(frames, TrackerConfig(confirm_hits=2))[-1]
+        fresh = Tracker(TrackerConfig(confirm_hits=2))
+        for frame in (1, 2, 3):
+            fresh.step(frame, frames[frame])
+        assert snapshot(tracker) == snapshot(fresh)
+        return retried
 
 
 class TestRun:
