@@ -15,7 +15,7 @@ import sys
 from typing import Sequence
 
 from . import io as formats
-from .errors import InternalError, ParamError, ParseError, SpecError, UserError
+from .errors import InternalError, ParamError, ParseError, SpecError, UserError, check_number
 from .synth import evaluate, generate
 from .tracker import COORD_LIMIT, FrameResult, run
 
@@ -87,12 +87,10 @@ def _parse_bounds_flag(token: str) -> tuple[float, float]:
     """The canvas size of `render --bounds`, checked as `ScenarioSpec` checks its bounds."""
     try:
         bounds = formats.parse_config(f"bounds = {token}")["bounds"]
+        for side in bounds:  # type: ignore[attr-defined]
+            check_number(ParseError, "bounds", side, 0, COORD_LIMIT, above=True)
     except ParseError as exc:
         raise UserError(f"invalid --bounds value {token!r}: {exc.message}") from exc
-    if not all(0 < side <= COORD_LIMIT for side in bounds):
-        raise UserError(
-            f"invalid --bounds value {token!r}: bounds must be positive and at most {COORD_LIMIT:g}"
-        )
     return bounds  # type: ignore[return-value]
 
 

@@ -1,9 +1,30 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and the scalar rules.
 
 Two branches matter to callers: ``UserError`` covers bad input data or
 configuration (the CLI maps it to exit code 2), ``InternalError`` covers
 violated internal invariants (exit code 3).
+
+Every scalar a constructor or a configured call checks follows one of
+three rules, stated here once:
+
+* ``is_integer``: an int or numpy integer, never a bool;
+* ``check_integer``: such an integer, at least a given bound;
+* ``check_number``: a real number that is not a bool, finite, in a closed
+  or half-open interval.
+
+So a configuration value of the wrong type (a string, None, a bool, 1.5
+where a count belongs) raises the caller's ``UserError`` subclass naming
+the value when the object is built, never a ``TypeError`` partway through
+a run.
 """
+
+import math
+import numbers
+import sys
+
+# Comparing |value| with the largest finite float rejects NaN, the
+# infinities and the ints too large to become a float, in one test.
+_FLOAT_MAX = sys.float_info.max
 
 
 class TrackingError(Exception):
@@ -74,3 +95,50 @@ class ParseError(UserError):
         elif prefix:
             prefix += " "
         return prefix + self.message
+
+
+def is_integer(value: object) -> bool:
+    """An int or numpy integer, which prints as digits; a bool prints as a word."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_integer(error: type[UserError], name: str, value: object, low: float = -math.inf) -> int:
+    """`value` as an int when it is an integer (`is_integer`) >= `low`; else raise `error`.
+
+    The message names `name` and the value: ``name must be an integer >= low,
+    got value``, without the bound when `low` is -inf.
+    """
+    if is_integer(value) and value >= low:  # type: ignore[operator]
+        return int(value)  # type: ignore[call-overload]
+    bound = f" >= {low}" if low > -math.inf else ""
+    raise error(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_number(
+    error: type[UserError], name: str, value: object, low: float, high: float = math.inf,
+    *, above: bool = False,
+) -> float:
+    """`value` as a float when it is a finite real number, not a bool, in range; else raise `error`.
+
+    The range is [low, high], or (low, high] with `above`; an infinite
+    `high` only asks for a finite value. `low` is 0 unless the range is
+    closed and bounded, or -inf to ask for any finite value. The message
+    names `name` and the value, in one of these shapes:
+
+    * (0, high]: ``name must be positive and at most high, got value``;
+    * [low, high]: ``name must lie in [low, high], got value``;
+    * (0, inf): ``name must be finite and positive, got value``;
+    * [0, inf): ``name must be finite and nonnegative, got value``;
+    * (-inf, inf): ``name must be finite, got value``.
+
+    A float is tested first: this runs once per newborn track in
+    `kfilter.init_state`, and the ABC test costs several times more.
+    """
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if (low < value <= high if above else low <= value <= high) and abs(value) <= _FLOAT_MAX:
+            return float(value)
+    if high < math.inf:
+        rule = f"be positive and at most {high:g}" if above else f"lie in [{low:g}, {high:g}]"
+    else:
+        rule = "be finite" + (" and positive" if above else " and nonnegative" if low == 0 else "")
+    raise error(f"{name} must {rule}, got {value!r}")

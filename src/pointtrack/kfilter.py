@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParamError
+from .errors import NumericalError, ParamError, check_number
 
 STATE_DIM = 4
 MEAS_DIM = 2
@@ -88,11 +88,11 @@ def make_cv_model(sigma_a: float = 1.0, sigma_z: float = 2.0) -> MotionModel:
         sigma_z: measurement noise scale, pixels.
 
     Raises:
-        ParamError: on a sigma_a or sigma_z that is not finite and positive.
+        ParamError: on a sigma_a or sigma_z that is not a finite and
+            positive real number (`errors.check_number`).
     """
-    for name, value in (("sigma_a", sigma_a), ("sigma_z", sigma_z)):
-        if not (math.isfinite(value) and value > 0):
-            raise ParamError(f"{name} must be finite and positive, got {value}")
+    check_number(ParamError, "sigma_a", sigma_a, 0, above=True)
+    check_number(ParamError, "sigma_z", sigma_z, 0, above=True)
 
     dt = 1.0
     F = np.array(
@@ -125,11 +125,11 @@ def init_state(x: float, y: float, p0_pos: float = 10.0, p0_vel: float = 100.0) 
     variance relative to the position variance.
 
     Raises:
-        ParamError: on an initial variance that is not finite and positive.
+        ParamError: on an initial variance that is not a finite and
+            positive real number (`errors.check_number`).
     """
-    for name, value in (("p0_pos", p0_pos), ("p0_vel", p0_vel)):
-        if not (math.isfinite(value) and value > 0):
-            raise ParamError(f"{name} must be finite and positive, got {value}")
+    check_number(ParamError, "p0_pos", p0_pos, 0, above=True)
+    check_number(ParamError, "p0_vel", p0_vel, 0, above=True)
     mean = np.array([float(x), float(y), 0.0, 0.0])
     cov = np.zeros((STATE_DIM, STATE_DIM))
     cov.flat[:: STATE_DIM + 1] = (p0_pos, p0_pos, p0_vel, p0_vel)

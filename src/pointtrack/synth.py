@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .assignment import solve  # unused, like `gate`: perfbench patches both here by name
-from .errors import ParamError, SpecError, UserError
+from .errors import ParamError, SpecError, UserError, check_integer, check_number, is_integer
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
-    COORD_LIMIT, Detection, FrameResult, TrackStatus, associate, build_cost_matrix, gate,
-    records_by_frame,
+    COORD_LIMIT, FAR_POINT_ERROR, Detection, FrameResult, TrackStatus, associate,
+    build_cost_matrix, gate, records_by_frame,
 )
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
@@ -52,6 +52,16 @@ class ScenarioSpec:
     frames ascending; within a frame, each alive target in declaration
     order draws one miss uniform and, if detected, two noise gaussians;
     then one Poisson count and two uniforms per clutter point.
+
+    Checked when built, each value before it is stored: `n_frames` is an
+    integer >= 1 and `seed` an integer (`errors.check_integer`; a bool is
+    not one), stored as an int; `noise_sigma` a finite real number >= 0,
+    `miss_prob` one in [0, 1], `clutter_rate` one in [0,
+    POISSON_RATE_MAX] and `bounds` a pair of them in (0, COORD_LIMIT]
+    (`errors.check_number`), stored as floats. Each target is six values:
+    integer frames 1 <= birth < death <= n_frames and a finite real start
+    and velocity, whose path (widened by the noise) stays within
+    +-COORD_LIMIT. Anything else raises `SpecError`.
     """
 
     n_frames: int
@@ -63,33 +73,33 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "targets", tuple(TargetPath(*t) for t in self.targets)
-        )
-        object.__setattr__(self, "bounds", (float(self.bounds[0]), float(self.bounds[1])))
-        if self.n_frames < 1:
-            raise SpecError("n_frames must be at least 1")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise SpecError("noise_sigma must be finite and nonnegative")
-        if not 0.0 <= self.miss_prob <= 1.0:
-            raise SpecError("miss_prob must lie in [0, 1]")
-        if not 0.0 <= self.clutter_rate <= POISSON_RATE_MAX:
-            raise SpecError(
-                f"clutter_rate must lie in [0, {POISSON_RATE_MAX:g}], got {self.clutter_rate}"
-            )
-        if not all(0 < side <= COORD_LIMIT for side in self.bounds):
-            raise SpecError(f"bounds must be positive and at most {COORD_LIMIT:g}")
+        check_integer(SpecError, "n_frames", self.n_frames, 1)
+        object.__setattr__(self, "seed", check_integer(SpecError, "seed", self.seed))
+        check_number(SpecError, "noise_sigma", self.noise_sigma, 0)
+        check_number(SpecError, "miss_prob", self.miss_prob, 0, 1)
+        check_number(SpecError, "clutter_rate", self.clutter_rate, 0, POISSON_RATE_MAX)
+        try:
+            width, height = self.bounds
+        except (TypeError, ValueError):
+            raise SpecError(f"bounds must be a pair of numbers, got {self.bounds!r}") from None
+        width = check_number(SpecError, "bounds", width, 0, COORD_LIMIT, above=True)
+        height = check_number(SpecError, "bounds", height, 0, COORD_LIMIT, above=True)
+        object.__setattr__(self, "bounds", (width, height))
+        targets = []
         margin = _GAUSS_BOUND * self.noise_sigma
         for i, t in enumerate(self.targets):
-            if not t.birth_frame >= 1:
-                raise SpecError(f"target {i}: birth_frame must be >= 1")
-            if not t.birth_frame < t.death_frame <= self.n_frames:
+            try:
+                t = TargetPath(*t)
+            except TypeError:
+                raise SpecError(f"target {i}: need birth,death,x,y,vx,vy, got {t!r}") from None
+            check_integer(SpecError, f"target {i}: birth_frame", t.birth_frame, 1)
+            if not (is_integer(t.death_frame) and t.birth_frame < t.death_frame <= self.n_frames):
                 raise SpecError(
-                    f"target {i}: need birth < death <= n_frames, "
-                    f"got {t.birth_frame}, {t.death_frame}, {self.n_frames}"
+                    f"target {i}: need integers birth < death <= n_frames, "
+                    f"got {t.birth_frame}, {t.death_frame!r}, {self.n_frames}"
                 )
-            if not all(math.isfinite(value) for value in t[2:]):
-                raise SpecError(f"target {i}: start and velocity must be finite")
+            for value in t[2:]:
+                check_number(SpecError, f"target {i}: start and velocity", value, -math.inf)
             # A linear path is farthest out at its first or last frame.
             age = t.death_frame - t.birth_frame
             ends = (t.start_x, t.start_y, t.start_x + age * t.vx, t.start_y + age * t.vy)
@@ -98,35 +108,43 @@ class ScenarioSpec:
                     f"target {i}: positions (plus {_GAUSS_BOUND:g} * noise_sigma) "
                     f"must stay within +-{COORD_LIMIT:g}"
                 )
+            targets.append(t)
+        object.__setattr__(self, "targets", tuple(targets))
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Exact target positions per frame: lists of (gt_id, x, y).
 
-    The frame keys are the only record of which frames exist: each is at
-    least 1, and a frame with no key holds no target. Each gt_id is at
-    least 1 and appears once per frame; coordinates are finite and within
-    +-COORD_LIMIT. Construction raises `UserError` naming the frame.
+    The frame keys are the only record of which frames exist: each is an
+    integer (`errors.is_integer`; a bool is not) of at least 1, and a
+    frame with no key holds no target. Each gt_id is such an integer and
+    appears once per frame; coordinates are finite and within
+    +-COORD_LIMIT. So `io.parse_ground_truth` reads back every file
+    `io.write_ground_truth` writes. Construction raises `UserError` naming
+    the frame.
     """
 
     frames: dict[int, list[tuple[int, float, float]]]
 
     def __post_init__(self):
         for frame, points in self.frames.items():
+            if type(frame) is not int and not is_integer(frame):
+                raise UserError(f"frame {frame!r} must be an integer")
             if frame < 1:
                 raise UserError(f"frame {frame} must be >= 1")
             seen: set[int] = set()
+            # `type(...) is int` first: it holds for nearly every point, and
+            # `is_integer` costs several times more.
             for gt_id, x, y in points:
+                if type(gt_id) is not int and not is_integer(gt_id):
+                    raise UserError(f"frame {frame}: gt_id must be an integer, got {gt_id!r}")
                 if gt_id < 1:
                     raise UserError(f"frame {frame}: gt_id must be >= 1, got {gt_id}")
                 if gt_id in seen:
                     raise UserError(f"gt_id {gt_id} appears twice in frame {frame}")
                 if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-                    raise UserError(
-                        f"frame {frame}: gt_id {gt_id} at ({x}, {y}) must be finite "
-                        f"and within +-{COORD_LIMIT:g}"
-                    )
+                    raise UserError(FAR_POINT_ERROR.format(frame, f"gt_id {gt_id} at", x, y))
                 seen.add(gt_id)
 
     def at(self, frame: int) -> list[tuple[int, float, float]]:
@@ -224,8 +242,7 @@ def evaluate(
             repeated in its frame, or a position or velocity that is not
             finite or lies beyond COORD_LIMIT.
     """
-    if not (math.isfinite(match_radius) and match_radius > 0):
-        raise ParamError(f"match_radius must be finite and positive, got {match_radius}")
+    check_number(ParamError, "match_radius", match_radius, 0, above=True)
     wanted = set(TrackStatus) if include_tentative else {TrackStatus.CONFIRMED}
     by_frame = records_by_frame(results)
 

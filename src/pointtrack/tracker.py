@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
@@ -65,6 +64,7 @@ import numpy as np
 from . import kfilter
 from .assignment import Assignment, CostMatrix, solve
 from .errors import AlignmentError, EmptyError, OrderError, ParamError, UserError
+from .errors import check_integer, check_number, is_integer
 
 
 # Largest accepted |coordinate| or |velocity| of a point, in pixels (per
@@ -82,6 +82,12 @@ CHI2_GATE = -2.0 * math.log(1.0 - GATE_PROBABILITY)
 # sigma_z^2 I, and P's x-y cross terms stay exactly 0, so det S >= sigma_z^4,
 # which this keeps at or above the singularity threshold of kfilter.update.
 SIGMA_Z_MIN = 1e-3
+
+# The error for a point or velocity (x, y) not finite or beyond COORD_LIMIT,
+# formatted with the frame, what the pair is ("track 3 velocity"), x and y by
+# the per-record loops of `check_detections`, `records_by_frame` and
+# `synth.GroundTruth` when their inline test fails.
+FAR_POINT_ERROR = "frame {}: {} ({}, {}) must be finite and within +-%g" % COORD_LIMIT
 
 
 class TrackStatus(enum.Enum):
@@ -131,7 +137,15 @@ class FrameResult:
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Tunable tracker behaviour; defaults follow common online-tracking practice."""
+    """Tunable tracker behaviour; defaults follow common online-tracking practice.
+
+    Checked when built: `gate_px`, `sigma_a`, `p0_pos` and `p0_vel` are
+    real numbers in (0, COORD_LIMIT], `sigma_z` in [SIGMA_Z_MIN,
+    COORD_LIMIT], `min_confidence` in [0, 1] (`errors.check_number`; a bool
+    is not a number), `confirm_hits` an integer >= 1 and `max_misses` an
+    integer >= 0 (`errors.check_integer`). Anything else raises
+    `ParamError` naming the field.
+    """
 
     gate_px: float = 50.0
     confirm_hits: int = 3
@@ -143,27 +157,15 @@ class TrackerConfig:
     min_confidence: float = 0.0
 
     def __post_init__(self):
-        for name in ("gate_px", "sigma_a", "sigma_z", "p0_pos", "p0_vel"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ParamError(f"{name} must be finite and positive, got {value}")
         # Bounded noise scales and variances keep the filter's products
         # finite, and a bounded gate_px keeps `associate`'s fill gate_px + 1
         # above it.
-        for name in ("gate_px", "sigma_a", "sigma_z", "p0_pos", "p0_vel"):
-            value = getattr(self, name)
-            if value > COORD_LIMIT:
-                raise ParamError(f"{name} must be at most {COORD_LIMIT:g}, got {value}")
-        if self.sigma_z < SIGMA_Z_MIN:
-            raise ParamError(f"sigma_z must be at least {SIGMA_Z_MIN:g}, got {self.sigma_z}")
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ParamError(
-                f"min_confidence must lie in [0, 1], got {self.min_confidence}"
-            )
-        if not (isinstance(self.confirm_hits, numbers.Integral) and self.confirm_hits >= 1):
-            raise ParamError(f"confirm_hits must be an integer >= 1, got {self.confirm_hits!r}")
-        if not (isinstance(self.max_misses, numbers.Integral) and self.max_misses >= 0):
-            raise ParamError(f"max_misses must be an integer >= 0, got {self.max_misses!r}")
+        for name in ("gate_px", "sigma_a", "p0_pos", "p0_vel"):
+            check_number(ParamError, name, getattr(self, name), 0, COORD_LIMIT, above=True)
+        check_number(ParamError, "sigma_z", self.sigma_z, SIGMA_Z_MIN, COORD_LIMIT)
+        check_number(ParamError, "min_confidence", self.min_confidence, 0, 1)
+        check_integer(ParamError, "confirm_hits", self.confirm_hits, 1)
+        check_integer(ParamError, "max_misses", self.max_misses, 0)
 
 
 class Track(NamedTuple):
@@ -295,17 +297,21 @@ class Tracker:
     def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
         """Process one frame worth of detections; see the module docstring.
 
+        The frame and its detections are checked first
+        (`check_detections`), then the frame's order.
+
         Raises:
-            OrderError: when the frame index is not after the last stepped
-                frame (not positive on the first step), or skips frames
-                while a track is live, or a detection is stamped with a
-                different frame.
             UserError: when the frame or a detection's frame is not an
-                integer, or a detection coordinate is not finite or lies
-                beyond COORD_LIMIT, or its confidence is not in [0, 1]
+                integer (a bool is not), or the frame is below 1, or a
+                detection coordinate is not finite or lies beyond
+                COORD_LIMIT, or its confidence is not in [0, 1]
                 (`check_detections`).
+            OrderError: when a detection is stamped with a different frame,
+                or the frame is not after the last stepped frame, or skips
+                frames while a track is live.
         """
         cfg = self.config
+        check_detections(frame, detections)
         if frame <= self._last_frame:
             raise OrderError(
                 f"frame {frame} is not after last processed frame {self._last_frame}"
@@ -315,7 +321,6 @@ class Tracker:
                 f"frame {frame} skips frames after last processed frame {self._last_frame}; "
                 f"step frame {self._last_frame + 1} next, with no detections if it has none"
             )
-        check_detections(frame, detections)
         usable = [d for d in detections if d.confidence >= cfg.min_confidence]
         points = np.array([(d.x, d.y) for d in usable], dtype=float).reshape(-1, 2)
 
@@ -438,11 +443,6 @@ def group_by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]
     return dict(sorted(grouped.items()))
 
 
-def _is_integer(value: object) -> bool:
-    """An int or numpy integer, which prints as digits; a bool prints as a word."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     """Check one frame's detections against the detection file's rules.
 
@@ -457,23 +457,20 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
             confidence is not in [0, 1]; the message names the frame.
         OrderError: when a detection is stamped with a different frame.
     """
-    if not _is_integer(frame):
+    if not is_integer(frame):
         raise UserError(f"frame {frame!r} must be an integer")
     if frame < 1:
         raise UserError(f"frame {frame} must be >= 1")
     # Unpacking costs less than reading four attributes and pays for the
     # type test. `type(...) is int` comes first: it holds for nearly every
-    # detection, and `_is_integer` costs several times more.
+    # detection, and `is_integer` costs several times more.
     for det_frame, x, y, confidence in detections:
         if det_frame != frame:
             raise OrderError(f"detection stamped frame {det_frame} fed to step({frame})")
-        if type(det_frame) is not int and not _is_integer(det_frame):
+        if type(det_frame) is not int and not is_integer(det_frame):
             raise UserError(f"frame {frame}: detection frame {det_frame!r} must be an integer")
         if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-            raise UserError(
-                f"frame {frame}: detection at ({x}, {y}) must be finite "
-                f"and within +-{COORD_LIMIT:g}"
-            )
+            raise UserError(FAR_POINT_ERROR.format(frame, "detection at", x, y))
         if not 0.0 <= confidence <= 1.0:
             raise UserError(f"frame {frame}: detection confidence {confidence} must lie in [0, 1]")
 
@@ -496,7 +493,7 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
     by_frame: dict[int, list[TrackRecord]] = {}
     for result in results:
         frame = result.frame
-        if not _is_integer(frame):
+        if not is_integer(frame):
             raise AlignmentError(f"result frame {frame!r} must be an integer")
         if frame in by_frame:
             raise AlignmentError(f"duplicate results for frame {frame}")
@@ -506,16 +503,10 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
         previous = 0  # sorted, so a repeated id follows itself
         for track_id, x, y, vx, vy, _, _ in records:
             if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-                raise UserError(
-                    f"frame {frame}: track {track_id} at ({x}, {y}) must be finite "
-                    f"and within +-{COORD_LIMIT:g}"
-                )
+                raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} at", x, y))
             if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):
-                raise UserError(
-                    f"frame {frame}: track {track_id} velocity ({vx}, {vy}) must be finite "
-                    f"and within +-{COORD_LIMIT:g}"
-                )
-            if type(track_id) is not int and not _is_integer(track_id):
+                raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} velocity", vx, vy))
+            if type(track_id) is not int and not is_integer(track_id):
                 raise UserError(f"frame {frame}: track_id must be an integer, got {track_id!r}")
             if track_id < 1:
                 raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")

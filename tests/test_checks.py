@@ -1,0 +1,317 @@
+"""The scalar rules of `errors`, and every checked field probed with ordinary values.
+
+Library and CLI inputs must end in a result or a located `UserError`, and
+bad configuration must fail when it is built: a value a constructor accepts
+must also run, and what it writes must read back.
+"""
+
+import math
+from functools import partial
+
+import numpy as np
+import pytest
+
+from pointtrack import kfilter
+from pointtrack.errors import (
+    ParamError,
+    SpecError,
+    UserError,
+    check_integer,
+    check_number,
+    is_integer,
+)
+from pointtrack.io import (
+    parse_detections,
+    parse_ground_truth,
+    parse_tracks,
+    write_detections,
+    write_ground_truth,
+    write_tracks,
+)
+from pointtrack.synth import GroundTruth, ScenarioSpec, evaluate, generate
+from pointtrack.tracker import (
+    Detection,
+    FrameResult,
+    RecordSource,
+    Tracker,
+    TrackerConfig,
+    TrackRecord,
+    TrackStatus,
+    run,
+)
+
+# What a caller, a config file or a numpy computation could plausibly pass.
+VALUES = (
+    0, 1, -1, 3,
+    0.0, -0.0, 1.5, 2.0, math.nan, math.inf, -math.inf, 1e300,
+    True, False, None, "a", "5",
+    np.int64(3), np.int64(-1), np.float64(2.0), np.float64(math.nan),
+)  # fmt: skip
+
+TARGET = (1, 3, 10.0, 20.0, 1.0, 0.5)
+SPEC = dict(n_frames=4, targets=(TARGET,), noise_sigma=0.5, miss_prob=0.1, clutter_rate=1.0)
+STREAM = {f: [Detection(f, 10.0 + f, 20.0), Detection(f, 50.0, 60.0 - f)] for f in range(1, 6)}
+RECORD = TrackRecord(1, 0.0, 0.0, 0.0, 0.0, TrackStatus.CONFIRMED, RecordSource.MEASURED)
+RESULTS = [FrameResult(1, [RECORD], [], [])]
+
+
+def built(factory, *args, **kwargs):
+    """`factory(*args, **kwargs)`, or None when it raises a UserError."""
+    try:
+        return factory(*args, **kwargs)
+    except UserError:
+        return None
+
+
+def tracked(name, value):
+    config = built(TrackerConfig, **{name: value})
+    if config is not None:
+        parse_tracks(write_tracks(run(STREAM, config)))
+
+
+def scene(**fields):
+    spec = built(ScenarioSpec, **{**SPEC, **fields})
+    if spec is not None:
+        gt, detections = generate(spec)
+        parse_detections(write_detections(detections))
+        parse_ground_truth(write_ground_truth(gt))
+
+
+def spec_field(name, value):
+    scene(**{name: value})
+
+
+def target_with(index, value):
+    scene(targets=(TARGET[:index] + (value,) + TARGET[index + 1 :],))
+
+
+def ground_truth(frames):
+    gt = built(GroundTruth, frames)
+    if gt is not None:
+        assert parse_ground_truth(write_ground_truth(gt)) == gt
+
+
+def stepped(frame):
+    result = built(Tracker().step, frame, [Detection(frame, 5.0, 5.0)])
+    if result is not None:
+        parse_tracks(write_tracks([result]))
+
+
+TRACKER_FIELDS = (
+    "gate_px", "confirm_hits", "max_misses", "sigma_a", "sigma_z", "p0_pos", "p0_vel",
+    "min_confidence",
+)  # fmt: skip
+TARGET_FIELDS = ("birth_frame", "death_frame", "start_x", "start_y", "vx", "vy")
+
+PROBES = {
+    **{f"TrackerConfig.{name}": partial(tracked, name) for name in TRACKER_FIELDS},
+    **{
+        f"ScenarioSpec.{name}": partial(spec_field, name)
+        for name in ("n_frames", "seed", "noise_sigma", "miss_prob", "clutter_rate", "bounds")
+    },
+    "ScenarioSpec.bounds[0]": lambda value: scene(bounds=(value, 480.0)),
+    **{
+        f"ScenarioSpec.target.{name}": partial(target_with, index)
+        for index, name in enumerate(TARGET_FIELDS)
+    },
+    "ScenarioSpec.target": lambda value: scene(targets=(value,)),
+    "GroundTruth.frame": lambda value: ground_truth({value: [(1, 0.0, 0.0)]}),
+    "GroundTruth.gt_id": lambda value: ground_truth({1: [(value, 0.0, 0.0)]}),
+    "make_cv_model.sigma_a": lambda value: built(kfilter.make_cv_model, sigma_a=value),
+    "make_cv_model.sigma_z": lambda value: built(kfilter.make_cv_model, sigma_z=value),
+    "init_state.p0_pos": lambda value: built(kfilter.init_state, 0.0, 0.0, p0_pos=value),
+    "init_state.p0_vel": lambda value: built(kfilter.init_state, 0.0, 0.0, p0_vel=value),
+    "evaluate.match_radius": lambda value: built(
+        evaluate, RESULTS, GroundTruth({1: [(1, 0.0, 0.0)]}), match_radius=value
+    ),
+    "Tracker.step.frame": stepped,
+}
+
+
+def test_thirty_fields_are_probed():
+    assert len(PROBES) == 30
+
+
+@pytest.mark.parametrize("field", PROBES)
+def test_every_value_returns_or_raises_a_user_error(field):
+    # A UserError is accepted only from the constructor or call itself; once
+    # it returns, running and writing what it built must not raise at all.
+    failures = []
+    for value in VALUES:
+        try:
+            PROBES[field](value)
+        except Exception as exc:  # noqa: BLE001 - every escape is the finding
+            failures.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert failures == []
+
+
+class TestSilentValuesRejected:
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            # Accepted, a target born at 1.5 would never be alive: an empty scene.
+            ((1.5, 3, 0, 0, 1, 1), "target 0: birth_frame must be an integer >= 1, got 1.5"),
+            # Accepted, one dying at 3.5 would never die.
+            (
+                (1, 3.5, 0, 0, 1, 1),
+                "target 0: need integers birth < death <= n_frames, got 1, 3.5, 5",
+            ),
+            ((True, 3, 0, 0, 1, 1), "target 0: birth_frame must be an integer >= 1, got True"),
+        ],
+    )
+    def test_target_frame_that_is_not_an_integer(self, target, message):
+        with pytest.raises(SpecError) as info:
+            ScenarioSpec(n_frames=5, targets=(target,))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "target",
+        [(1, 3, 0.0, 0.0, 1.0), (1, 3, 0.0, 0.0, 1.0, 1.0, 0.0), 5, None, "12345"],
+    )
+    def test_target_that_is_not_six_values(self, target):
+        with pytest.raises(SpecError, match="target 1: need birth,death,x,y,vx,vy"):
+            ScenarioSpec(n_frames=5, targets=((1, 3, 0.0, 0.0, 1.0, 1.0), target))
+
+    @pytest.mark.parametrize("value", [None, "a", True])
+    def test_target_start_or_velocity_that_is_not_a_number(self, value):
+        with pytest.raises(SpecError) as info:
+            ScenarioSpec(n_frames=5, targets=((1, 3, 0.0, value, 1.0, 1.0),))
+        assert str(info.value) == f"target 0: start and velocity must be finite, got {value!r}"
+
+    @pytest.mark.parametrize("bounds", ["640x480", (1,), (1.0, 2.0, 3.0), 640.0, None])
+    def test_bounds_that_are_not_a_pair(self, bounds):
+        # Unpacked as a string, "640x480" would be read as (6.0, 4.0).
+        with pytest.raises(SpecError, match="bounds must be a pair of numbers"):
+            ScenarioSpec(n_frames=5, bounds=bounds)
+
+    @pytest.mark.parametrize("side", [None, "640", True])
+    def test_bounds_side_that_is_not_a_number(self, side):
+        with pytest.raises(SpecError) as info:
+            ScenarioSpec(n_frames=5, bounds=(side, 480))
+        assert str(info.value) == f"bounds must be positive and at most 1e+09, got {side!r}"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"confirm_hits": True}, "confirm_hits must be an integer >= 1, got True"),
+            ({"max_misses": False}, "max_misses must be an integer >= 0, got False"),
+            ({"min_confidence": True}, "min_confidence must lie in [0, 1], got True"),
+            ({"gate_px": "50"}, "gate_px must be positive and at most 1e+09, got '50'"),
+            ({"sigma_z": None}, "sigma_z must lie in [0.001, 1e+09], got None"),
+        ],
+    )
+    def test_tracker_config_value_of_the_wrong_type(self, fields, message):
+        with pytest.raises(ParamError) as info:
+            TrackerConfig(**fields)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+            ({"n_frames": 10.0}, "n_frames must be an integer >= 1, got 10.0"),
+            ({"noise_sigma": "1"}, "noise_sigma must be finite and nonnegative, got '1'"),
+            ({"miss_prob": None}, "miss_prob must lie in [0, 1], got None"),
+        ],
+    )
+    def test_scenario_value_of_the_wrong_type(self, fields, message):
+        with pytest.raises(SpecError) as info:
+            ScenarioSpec(**{"n_frames": 5, **fields})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            # Written as "1.5,True,1.000000,2.000000", which the parser rejects.
+            ({1.5: [(True, 1.0, 2.0)]}, "frame 1.5 must be an integer"),
+            ({1: [(True, 1.0, 2.0)]}, "frame 1: gt_id must be an integer, got True"),
+            ({True: [(1, 1.0, 2.0)]}, "frame True must be an integer"),
+            ({"2": [(1, 1.0, 2.0)]}, "frame '2' must be an integer"),
+            ({2: [(2.0, 1.0, 2.0)]}, "frame 2: gt_id must be an integer, got 2.0"),
+        ],
+    )
+    def test_ground_truth_frame_or_id_that_is_not_an_integer(self, frames, message):
+        with pytest.raises(UserError) as info:
+            GroundTruth(frames)
+        assert str(info.value) == message
+
+
+class TestNumpyIntegersAccepted:
+    def test_tracker_config(self):
+        config = TrackerConfig(confirm_hits=np.int64(2), max_misses=np.int32(1))
+        plain = TrackerConfig(confirm_hits=2, max_misses=1)
+        assert write_tracks(run(STREAM, config)) == write_tracks(run(STREAM, plain))
+
+    def test_scenario_writes_the_same_scene(self):
+        # SplitMix64 masks its seed with a Python int, which overflows an int64.
+        wide = tuple(np.int64(v) for v in TARGET[:2]) + TARGET[2:]
+        fields = {"targets": (wide,), "n_frames": np.int64(4), "seed": np.int64(3)}
+        spec = ScenarioSpec(**{**SPEC, **fields})
+        assert type(spec.seed) is int and spec.seed == 3
+        gt, detections = generate(spec)
+        plain_gt, plain_detections = generate(ScenarioSpec(**SPEC, seed=3))
+        assert write_detections(detections) == write_detections(plain_detections)
+        assert write_ground_truth(gt) == write_ground_truth(plain_gt)
+
+    def test_ground_truth_reads_back_equal(self):
+        gt = GroundTruth({np.int64(2): [(np.int32(1), 0.0, 0.0)], 3: [(np.uint8(4), 1.0, 2.0)]})
+        assert write_ground_truth(gt) == "2,1,0.000000,0.000000\n3,4,1.000000,2.000000\n"
+        assert parse_ground_truth(write_ground_truth(gt)) == gt
+
+
+class TestRules:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(3, True), (np.int64(3), True), (np.uint8(0), True), (True, False), (3.0, False),
+         ("3", False), (None, False)],
+    )  # fmt: skip
+    def test_is_integer(self, value, expected):
+        assert is_integer(value) is expected
+
+    def test_check_integer_returns_an_int(self):
+        value = check_integer(SpecError, "n", np.int64(7), 1)
+        assert type(value) is int and value == 7
+        assert check_integer(SpecError, "seed", -(2**70)) == -(2**70)
+
+    @pytest.mark.parametrize(
+        "low, value, message",
+        [
+            (1, 0, "n must be an integer >= 1, got 0"),
+            (0, 2.0, "n must be an integer >= 0, got 2.0"),
+            (-math.inf, "1", "n must be an integer, got '1'"),
+        ],
+    )
+    def test_check_integer_message(self, low, value, message):
+        with pytest.raises(ParamError) as info:
+            check_integer(ParamError, "n", value, low)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "low, high, above, value, message",
+        [
+            (0, 1e9, True, 0, "x must be positive and at most 1e+09, got 0"),
+            (0, 1, False, -1, "x must lie in [0, 1], got -1"),
+            (0, math.inf, True, math.inf, "x must be finite and positive, got inf"),
+            (0, math.inf, False, -0.5, "x must be finite and nonnegative, got -0.5"),
+            (-math.inf, math.inf, False, math.nan, "x must be finite, got nan"),
+        ],
+    )
+    def test_check_number_message_shapes(self, low, high, above, value, message):
+        with pytest.raises(ParamError) as info:
+            check_number(ParamError, "x", value, low, high, above=above)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400, -(10**400)])
+    def test_check_number_asks_for_a_finite_float(self, value):
+        with pytest.raises(SpecError):
+            check_number(SpecError, "x", value, -math.inf)
+
+    def test_check_number_bounds(self):
+        assert check_number(SpecError, "x", 0, 0, 1) == 0.0
+        assert check_number(SpecError, "x", 1, 0, 1) == 1.0
+        assert type(check_number(SpecError, "x", np.float64(0.5), 0)) is float
+        assert check_number(SpecError, "x", -1e308, -math.inf) == -1e308
+        with pytest.raises(SpecError):
+            check_number(SpecError, "x", 0.0, 0, 1, above=True)
+        with pytest.raises(SpecError):
+            check_number(SpecError, "x", np.nextafter(1.0, 2.0), 0, 1)

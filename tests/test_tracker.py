@@ -367,6 +367,28 @@ class TestStep:
         with pytest.raises(UserError, match=message):
             Tracker().step(frame, detections)
 
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            ("3", "frame '3' must be an integer"),
+            (None, "frame None must be an integer"),
+            (math.nan, "frame nan must be an integer"),
+            (0, "frame 0 must be >= 1"),  # a UserError, not an OrderError
+        ],
+    )
+    def test_frame_rules_are_checked_before_its_order(self, frame, message):
+        # The frame's own rules come first, so "3" or None never reaches the
+        # order comparison, which would raise TypeError.
+        tracker = Tracker()
+        with pytest.raises(UserError) as info:
+            tracker.step(frame, [])
+        assert type(info.value) is UserError and str(info.value) == message
+        tracker.step(1, [det(1, 0.0, 0.0)])
+        with pytest.raises(UserError) as info:
+            tracker.step(frame, [])
+        assert type(info.value) is UserError and str(info.value) == message
+        assert [r.track_id for r in tracker.step(2, [det(2, 0.0, 0.0)]).records] == [1]
+
     def test_numpy_integer_frames_accepted(self):
         tracker = Tracker()
         assert tracker.step(np.int64(1), [det(np.int32(1), 0, 0)]).born == [1]
