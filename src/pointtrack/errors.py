@@ -8,6 +8,8 @@ Every scalar a constructor or a configured call checks follows one of
 three rules, stated here once:
 
 * ``is_integer``: an int or numpy integer, never a bool;
+* ``is_number``: a real number (an int, a float or a numpy number of
+  either kind), never a bool;
 * ``check_integer``: such an integer, at least a given bound;
 * ``check_number``: a real number that is not a bool, finite, in a closed
   or half-open interval.
@@ -102,6 +104,11 @@ def is_integer(value: object) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_number(value: object) -> bool:
+    """A real number that is not a bool: an int, a float or a numpy number of either kind."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_integer(error: type[UserError], name: str, value: object, low: float = -math.inf) -> int:
     """`value` as an int when it is an integer (`is_integer`) >= `low`; else raise `error`.
 
@@ -134,7 +141,7 @@ def check_number(
     A float is tested first: this runs once per newborn track in
     `kfilter.init_state`, and the ABC test costs several times more.
     """
-    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
+    if type(value) is float or is_number(value):
         if (low < value <= high if above else low <= value <= high) and abs(value) <= _FLOAT_MAX:
             return float(value)
     if high < math.inf:

@@ -26,16 +26,20 @@ Positions (x, y in every file) and track velocities (vx, vy) must lie in
 frame on anything else (``tracker.check_detections``,
 ``tracker.records_by_frame``), and a ``GroundTruth`` checks itself when built.
 
-Each data format is one table of the fields after the frame, each named
-with its reader. The parsers read a line in one pass first: split on
-commas, int() and float() on the raw fields, then one combined test of
-every range, id and code. A line that fails it, a blank one included, or
-one whose field int() or float() cannot strip (U+001C to U+001F, which
-``str.strip()`` strips), is read again field by field through the table
-(``_located``), which skips it, returns its values or raises the
-ParseError naming its line and its first fault. The writers format each
-line with one ``%`` string, whose ``%s`` and ``%.6f`` give the bytes of
-``{}`` and ``{:.6f}``.
+Each data format is one converter and one table of the fields after the
+frame, each named with its reader. A parser converts the whole file first:
+each non-blank line is split on commas, its fields go through int(),
+float() and the code tables, and the records, grouped by frame, go to the
+check the library already applies to that record type
+(``tracker.check_detections`` per frame, ``tracker.records_by_frame``, the
+``GroundTruth`` constructor). The converters test no range and no id; the
+checks do. If a line does not convert (a field int() or float() cannot
+strip, U+001C to U+001F, which ``str.strip()`` strips, included) or the
+check raises, the whole text is read again line by line through the table
+(``_located``), which skips blank lines and raises the ParseError naming
+the first faulty line and its first fault, or converts each stripped line
+to the same records. The writers format each line with one ``%`` string,
+whose ``%s`` and ``%.6f`` give the bytes of ``{}`` and ``{:.6f}``.
 
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
@@ -48,12 +52,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections import defaultdict
 from functools import partial
 from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .errors import ParseError
+from .errors import ParseError, UserError
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
     COORD_LIMIT,
@@ -112,23 +117,21 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _read_coord(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
+def _read_coord(token: str, line_no: int, what: str, frame: int, seen: dict) -> None:
     value = _parse_float(token, line_no, what)
     if abs(value) > COORD_LIMIT:
         raise ParseError(
             f"{what} must lie within +-{COORD_LIMIT:g}, got {value:g}", line=line_no
         )
-    return value
 
 
-def _read_confidence(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
+def _read_confidence(token: str, line_no: int, what: str, frame: int, seen: dict) -> None:
     value = _parse_float(token, line_no, what)
     if not 0.0 <= value <= 1.0:
         raise ParseError(f"{what} must lie in [0, 1], got {value}", line=line_no)
-    return value
 
 
-def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> int:
+def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> None:
     """An id >= 1 not yet read in its frame; it is added to ``seen``."""
     value = _parse_int(token, line_no, what)
     if value < 1:
@@ -137,28 +140,25 @@ def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> int
     if value in ids:
         raise ParseError(f"{what} {value} appears twice in frame {frame}", line=line_no)
     ids.add(value)
-    return value
 
 
 def _read_code(by_code: dict, token: str, line_no: int, what: str, frame: int, seen: dict):
-    """A one-letter code, read as the value ``by_code`` maps it to."""
-    value = by_code.get(token.strip())
-    if value is None:
+    """A one-letter code, one of the keys of ``by_code``."""
+    if token.strip() not in by_code:
         raise ParseError(f"{what} must be {' or '.join(by_code)}, got {token!r}", line=line_no)
-    return value
 
 
 def _located(
     raw: str, line_no: int, fields: tuple, seen: dict[int, set[int]], optional: int = 0
-) -> tuple[int, list] | None:
-    """Read one data line field by field: None when it is blank, else (frame, values).
+) -> list[str] | None:
+    """Check one data line field by field: None when it is blank, else its stripped fields.
 
     ``fields`` is the format's table: the fields after the frame in file
     order, as (name, reader) pairs, of which a line may leave out the last
     ``optional``. A reader takes the field's token, the line number, the
-    name, the frame and ``seen`` (the ids read so far, by frame) and returns
-    the field's value. Raises the ParseError naming the line and its first
-    fault.
+    name, the frame and ``seen`` (the ids read so far, by frame), and raises
+    the ParseError naming the line and the field's fault. So the first
+    fault of the line is the one raised.
     """
     line = raw.strip()
     if not line:
@@ -172,66 +172,61 @@ def _located(
     frame = _parse_int(tokens[0], line_no, "frame")
     if frame < 1:
         raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-    return frame, [
-        read(token, line_no, name, frame, seen) for (name, read), token in zip(fields, tokens[1:])
-    ]
+    for (name, read), token in zip(fields, tokens[1:]):
+        read(token, line_no, name, frame, seen)
+    return [token.strip() for token in tokens]
 
 
-def _read_lines(
-    text: str, fast: Callable, fields: tuple, build: Callable, optional: int = 0
-) -> dict[int, list]:
-    """Read a data file into its records grouped by frame, frames ascending.
+def _read_lines(text: str, convert: Callable, fields: tuple, check: Callable, optional: int = 0):
+    """Read a data file: its records grouped by frame, frames ascending, as ``check`` returns them.
 
-    ``fast(tokens, seen)`` reads a line split on commas in one pass. It
-    returns (frame, record) when the line has the format's field count and
-    every value is in range, and adds only such a line's id to ``seen``;
-    else it returns None or raises ValueError, IndexError or KeyError. Such
-    a line, a blank one included, is read again by `_located`, which skips
-    it or raises, and ``build(frame, values)`` makes the record of a line
-    `_located` accepts.
+    The whole file is converted first: ``convert(tokens)`` turns a
+    non-blank line split on commas into (frame, record), or raises
+    ValueError, IndexError or KeyError when a field count, a number or a
+    code does not convert. ``check(grouped)`` is the library's check of
+    the record type; it returns the parsed value or raises a UserError. On
+    any of these failures the whole text is read again line by line:
+    `_located` skips a blank line, raises the ParseError naming the first
+    faulty line, or returns its stripped fields, which ``convert`` then
+    converts.
     """
-    grouped: dict[int, list] = {}
-    seen: dict[int, set[int]] = {}
+    grouped: defaultdict[int, list] = defaultdict(list)
+    try:
+        for raw in text.split("\n"):
+            if raw and not raw.isspace():
+                frame, record = convert(raw.split(","))
+                grouped[frame].append(record)
+        return check(dict(sorted(grouped.items())))
+    except (ValueError, IndexError, KeyError, UserError):
+        pass
+    grouped, seen = defaultdict(list), {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        try:
-            parsed = fast(raw.split(","), seen)
-        except (ValueError, IndexError, KeyError):
-            parsed = None
-        if parsed is None:
-            located = _located(raw, line_no, fields, seen, optional)
-            if located is None:
-                continue
-            frame, values = located
-            parsed = frame, build(frame, values)
-        grouped.setdefault(parsed[0], []).append(parsed[1])
-    return dict(sorted(grouped.items()))
+        tokens = _located(raw, line_no, fields, seen, optional)
+        if tokens is not None:
+            frame, record = convert(tokens)
+            grouped[frame].append(record)
+    return check(dict(sorted(grouped.items())))
 
 
 _DETECTION_FIELDS = (("x", _read_coord), ("y", _read_coord), ("confidence", _read_confidence))
 
 
-def _fast_detection(tokens: list[str], seen: dict) -> tuple[int, Detection] | None:
-    frame, x, y = int(tokens[0]), float(tokens[1]), float(tokens[2])
-    confidence = float(tokens[3]) if len(tokens) == 4 else 1.0
-    if (
-        frame >= 1
-        and len(tokens) <= 4
-        and -COORD_LIMIT <= x <= COORD_LIMIT
-        and -COORD_LIMIT <= y <= COORD_LIMIT
-        and 0.0 <= confidence <= 1.0
-    ):
-        return frame, Detection(frame, x, y, confidence)
-    return None
+def _fast_detection(tokens: list[str]) -> tuple[int, Detection]:
+    frame, x, y, confidence = tokens if len(tokens) == 4 else (*tokens, 1.0)
+    frame = int(frame)
+    return frame, Detection(frame, float(x), float(y), float(confidence))
+
+
+def _checked_detections(grouped: dict[int, list[Detection]]) -> dict[int, list[Detection]]:
+    for frame, detections in grouped.items():
+        check_detections(frame, detections)
+    return grouped
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Parse a detection file into a frame-indexed map, frames ascending."""
     return _read_lines(
-        text,
-        _fast_detection,
-        _DETECTION_FIELDS,
-        lambda frame, values: Detection(frame, *values),
-        optional=1,
+        text, _fast_detection, _DETECTION_FIELDS, _checked_detections, optional=1
     )
 
 
@@ -240,8 +235,9 @@ def write_detections(detections: Iterable[Detection]) -> str:
 
     Raises:
         UserError: naming the frame, on a detection `parse_detections` would
-            reject: a frame below 1, a coordinate that is not finite or lies
-            beyond COORD_LIMIT, or a confidence outside [0, 1]
+            reject: a frame below 1, a coordinate or confidence that is not a
+            real number, a coordinate that is not finite or lies beyond
+            COORD_LIMIT, or a confidence outside [0, 1]
             (`tracker.check_detections`).
     """
     ordered = sorted(detections, key=attrgetter("frame"))
@@ -264,35 +260,24 @@ _TRACK_FIELDS = (
 )
 
 
-def _fast_track(tokens: list[str], seen: dict) -> tuple[int, TrackRecord] | None:
+def _fast_track(tokens: list[str]) -> tuple[int, TrackRecord]:
     frame, track_id, x, y, vx, vy, status, source = tokens
-    frame, track_id = int(frame), int(track_id)
-    x, y, vx, vy = float(x), float(y), float(vx), float(vy)
-    status = _STATUS_BY_CHAR[status.strip()]
-    source = _SOURCE_BY_CHAR[source.strip()]
-    ids = seen.setdefault(frame, set())
-    if (
-        frame >= 1
-        and track_id >= 1
-        and track_id not in ids
-        and -COORD_LIMIT <= x <= COORD_LIMIT
-        and -COORD_LIMIT <= y <= COORD_LIMIT
-        and -COORD_LIMIT <= vx <= COORD_LIMIT
-        and -COORD_LIMIT <= vy <= COORD_LIMIT
-    ):
-        ids.add(track_id)
-        return frame, TrackRecord(track_id, x, y, vx, vy, status, source)
-    return None
+    status, source = _STATUS_BY_CHAR[status.strip()], _SOURCE_BY_CHAR[source.strip()]
+    return int(frame), TrackRecord(
+        int(track_id), float(x), float(y), float(vx), float(vy), status, source
+    )
 
 
 def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
-    """Parse a track file into a frame-indexed record map."""
-    grouped = _read_lines(
-        text, _fast_track, _TRACK_FIELDS, lambda frame, values: TrackRecord(*values)
+    """Parse a track file into a frame-indexed record map, frames then track ids ascending."""
+    return _read_lines(
+        text,
+        _fast_track,
+        _TRACK_FIELDS,
+        lambda grouped: records_by_frame(
+            FrameResult(frame, records, [], []) for frame, records in grouped.items()
+        ),
     )
-    for records in grouped.values():
-        records.sort(key=attrgetter("track_id"))
-    return grouped
 
 
 def write_tracks(results: Sequence[FrameResult]) -> str:
@@ -305,8 +290,8 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
     Raises:
         AlignmentError: on a frame below 1 or given twice.
         UserError: when a track id is below 1 or appears twice in its
-            frame, or a position or velocity is not finite or lies beyond
-            COORD_LIMIT.
+            frame, or a position or velocity is not a real number, is not
+            finite or lies beyond COORD_LIMIT.
     """
     line = "%s,%s,%.6f,%.6f,%.6f,%.6f,%s,%s\n"
     # `_value_` is the member's value without the `value` property's cost.
@@ -321,28 +306,14 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
 _GROUND_TRUTH_FIELDS = (("gt_id", _read_id), ("x", _read_coord), ("y", _read_coord))
 
 
-def _fast_ground_truth(tokens: list[str], seen: dict) -> tuple[int, tuple] | None:
+def _fast_ground_truth(tokens: list[str]) -> tuple[int, tuple[int, float, float]]:
     frame, gt_id, x, y = tokens
-    frame, gt_id, x, y = int(frame), int(gt_id), float(x), float(y)
-    ids = seen.setdefault(frame, set())
-    if (
-        frame >= 1
-        and gt_id >= 1
-        and gt_id not in ids
-        and -COORD_LIMIT <= x <= COORD_LIMIT
-        and -COORD_LIMIT <= y <= COORD_LIMIT
-    ):
-        ids.add(gt_id)
-        return frame, (gt_id, x, y)
-    return None
+    return int(frame), (int(gt_id), float(x), float(y))
 
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth file (``frame,gt_id,x,y``)."""
-    frames = _read_lines(
-        text, _fast_ground_truth, _GROUND_TRUTH_FIELDS, lambda frame, values: tuple(values)
-    )
-    return GroundTruth(frames=frames)
+    return _read_lines(text, _fast_ground_truth, _GROUND_TRUTH_FIELDS, GroundTruth)
 
 
 def write_ground_truth(gt: GroundTruth) -> str:

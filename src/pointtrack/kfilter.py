@@ -45,6 +45,12 @@ from .errors import NumericalError, ParamError, check_number
 STATE_DIM = 4
 MEAS_DIM = 2
 
+# Largest accepted |coordinate| or |velocity| of a point, in pixels (per
+# frame for velocities), and largest noise scale. It lies far beyond any
+# image, and its square is finite, so squared distances between points and
+# the noise covariances built from the scales stay finite.
+COORD_LIMIT = 1e9
+
 _IDENTITY = np.eye(STATE_DIM)
 _IDENTITY.setflags(write=False)
 
@@ -88,11 +94,13 @@ def make_cv_model(sigma_a: float = 1.0, sigma_z: float = 2.0) -> MotionModel:
         sigma_z: measurement noise scale, pixels.
 
     Raises:
-        ParamError: on a sigma_a or sigma_z that is not a finite and
-            positive real number (`errors.check_number`).
+        ParamError: on a sigma_a or sigma_z that is not a real number in
+            (0, COORD_LIMIT] (`errors.check_number`). A larger scale can
+            square to inf: Q's blocks would be inf, and R's off-diagonal
+            entries inf times 0, NaN.
     """
-    check_number(ParamError, "sigma_a", sigma_a, 0, above=True)
-    check_number(ParamError, "sigma_z", sigma_z, 0, above=True)
+    check_number(ParamError, "sigma_a", sigma_a, 0, COORD_LIMIT, above=True)
+    check_number(ParamError, "sigma_z", sigma_z, 0, COORD_LIMIT, above=True)
 
     dt = 1.0
     F = np.array(

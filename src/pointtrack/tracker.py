@@ -64,13 +64,13 @@ import numpy as np
 from . import kfilter
 from .assignment import Assignment, CostMatrix, solve
 from .errors import AlignmentError, EmptyError, OrderError, ParamError, UserError
-from .errors import check_integer, check_number, is_integer
+from .errors import check_integer, check_number, is_integer, is_number
 
 
 # Largest accepted |coordinate| or |velocity| of a point, in pixels (per
-# frame for velocities). It lies far beyond any image and keeps squared
-# distances between points, and the filter arithmetic on them, finite.
-COORD_LIMIT = 1e9
+# frame for velocities): the filter's bound, which keeps squared distances
+# between points, and the filter arithmetic on them, finite.
+COORD_LIMIT = kfilter.COORD_LIMIT
 
 # Share of a track's true next positions its gate holds under the filter's
 # Gaussian belief, and the matching chi-square quantile with 2 degrees of
@@ -88,6 +88,13 @@ SIGMA_Z_MIN = 1e-3
 # the per-record loops of `check_detections`, `records_by_frame` and
 # `synth.GroundTruth` when their inline test fails.
 FAR_POINT_ERROR = "frame {}: {} ({}, {}) must be finite and within +-%g" % COORD_LIMIT
+
+# The error for a record whose values are not all real numbers
+# (`errors.is_number`), formatted with the frame, what the values are
+# ("gt_id 3 (x, y)") and the values as a tuple. The same loops test
+# `type(...) is float` first: it holds for nearly every value, and
+# `is_number` costs several times more.
+NOT_A_NUMBER_ERROR = "frame {}: {} must be real numbers, got {!r}"
 
 
 class TrackStatus(enum.Enum):
@@ -303,9 +310,9 @@ class Tracker:
         Raises:
             UserError: when the frame or a detection's frame is not an
                 integer (a bool is not), or the frame is below 1, or a
-                detection coordinate is not finite or lies beyond
-                COORD_LIMIT, or its confidence is not in [0, 1]
-                (`check_detections`).
+                detection coordinate or confidence is not a real number, or
+                the coordinate is not finite or lies beyond COORD_LIMIT, or
+                the confidence is not in [0, 1] (`check_detections`).
             OrderError: when a detection is stamped with a different frame,
                 or the frame is not after the last stepped frame, or skips
                 frames while a track is live.
@@ -418,10 +425,21 @@ def run(
     with no live track would report nothing and gets no result, so time
     and memory follow the frames with content, not the span; an empty
     stream yields no results.
+
+    Raises:
+        UserError: when a stream key is not an integer (a bool is not), and
+            as `Tracker.step` on each frame it steps.
+        ParamError: when an end of `frame_range` is not an integer.
+        OrderError: when `frame_range` ends before it starts.
     """
+    for frame in detections_by_frame:
+        if type(frame) is not int:
+            check_integer(UserError, "frame", frame)
     first, last = frame_range or (
         min(detections_by_frame, default=1), max(detections_by_frame, default=1)
     )
+    first = check_integer(ParamError, "frame_range start", first)
+    last = check_integer(ParamError, "frame_range end", last)
     if first > last:
         raise OrderError(f"invalid frame range {first}..{last}")
     tracker, results = Tracker(config), []
@@ -453,22 +471,29 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     Raises:
         UserError: when the frame or a detection's frame is not an integer
             (a bool is not), or the frame is below 1, or a detection
-            coordinate is not finite or lies beyond COORD_LIMIT, or its
+            coordinate or confidence is not a real number (a bool is not),
+            or a coordinate is not finite or lies beyond COORD_LIMIT, or the
             confidence is not in [0, 1]; the message names the frame.
         OrderError: when a detection is stamped with a different frame.
     """
-    if not is_integer(frame):
+    if type(frame) is not int and not is_integer(frame):
         raise UserError(f"frame {frame!r} must be an integer")
     if frame < 1:
         raise UserError(f"frame {frame} must be >= 1")
     # Unpacking costs less than reading four attributes and pays for the
-    # type test. `type(...) is int` comes first: it holds for nearly every
+    # type tests. `type(...) is int` comes first: it holds for nearly every
     # detection, and `is_integer` costs several times more.
     for det_frame, x, y, confidence in detections:
         if det_frame != frame:
             raise OrderError(f"detection stamped frame {det_frame} fed to step({frame})")
         if type(det_frame) is not int and not is_integer(det_frame):
             raise UserError(f"frame {frame}: detection frame {det_frame!r} must be an integer")
+        if not (
+            type(x) is type(y) is type(confidence) is float
+            or all(map(is_number, (x, y, confidence)))
+        ):
+            what = "detection (x, y, confidence)"
+            raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, confidence)))
         if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
             raise UserError(FAR_POINT_ERROR.format(frame, "detection at", x, y))
         if not 0.0 <= confidence <= 1.0:
@@ -488,20 +513,30 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
             is below 1 or is given twice.
         UserError: naming the frame and the track, when a track id is not
             an integer, is below 1 or appears twice in its frame, or a
-            position or velocity is not finite or lies beyond COORD_LIMIT.
+            position or velocity is not a real number (a bool is not), is not
+            finite or lies beyond COORD_LIMIT.
     """
     by_frame: dict[int, list[TrackRecord]] = {}
     for result in results:
         frame = result.frame
-        if not is_integer(frame):
+        if type(frame) is not int and not is_integer(frame):
             raise AlignmentError(f"result frame {frame!r} must be an integer")
         if frame in by_frame:
             raise AlignmentError(f"duplicate results for frame {frame}")
         if frame < 1:
             raise AlignmentError(f"result frame {frame} is not a valid frame index")
-        records = sorted(result.records, key=attrgetter("track_id"))
+        try:
+            records = sorted(result.records, key=attrgetter("track_id"))
+        except TypeError:  # ids that do not compare; the loop names one that is not an integer
+            records = list(result.records)
         previous = 0  # sorted, so a repeated id follows itself
         for track_id, x, y, vx, vy, _, _ in records:
+            if not (
+                type(x) is type(y) is type(vx) is type(vy) is float
+                or all(map(is_number, (x, y, vx, vy)))
+            ):
+                what = f"track {track_id} (x, y, vx, vy)"
+                raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, vx, vy)))
             if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
                 raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} at", x, y))
             if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):

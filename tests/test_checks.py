@@ -37,6 +37,7 @@ from pointtrack.tracker import (
     TrackerConfig,
     TrackRecord,
     TrackStatus,
+    records_by_frame,
     run,
 )
 
@@ -97,6 +98,32 @@ def stepped(frame):
         parse_tracks(write_tracks([result]))
 
 
+def detection(field, value):
+    det = Detection(1, 5.0, 5.0)._replace(**{field: value})
+    result = built(Tracker().step, 1, [det])
+    if result is not None:
+        parse_tracks(write_tracks([result]))
+        parse_detections(write_detections([det]))
+
+
+def track_records(*records):
+    text = built(write_tracks, [FrameResult(1, list(records), [], [])])
+    if text is not None:
+        parse_tracks(text)
+
+
+def ran(stream, **kwargs):
+    results = built(run, stream, **kwargs)
+    if results is not None:
+        parse_tracks(write_tracks(results))
+
+
+def cv_model(name, value):
+    model = built(kfilter.make_cv_model, **{name: value})
+    if model is not None:
+        assert all(np.isfinite(m).all() for m in (model.F, model.Q, model.H, model.R))
+
+
 TRACKER_FIELDS = (
     "gate_px", "confirm_hits", "max_misses", "sigma_a", "sigma_z", "p0_pos", "p0_vel",
     "min_confidence",
@@ -117,8 +144,21 @@ PROBES = {
     "ScenarioSpec.target": lambda value: scene(targets=(value,)),
     "GroundTruth.frame": lambda value: ground_truth({value: [(1, 0.0, 0.0)]}),
     "GroundTruth.gt_id": lambda value: ground_truth({1: [(value, 0.0, 0.0)]}),
-    "make_cv_model.sigma_a": lambda value: built(kfilter.make_cv_model, sigma_a=value),
-    "make_cv_model.sigma_z": lambda value: built(kfilter.make_cv_model, sigma_z=value),
+    "GroundTruth.x": lambda value: ground_truth({1: [(1, value, 0.0)]}),
+    **{f"Detection.{name}": partial(detection, name) for name in ("x", "y", "confidence")},
+    **{
+        f"TrackRecord.{name}": lambda value, name=name: track_records(
+            RECORD._replace(**{name: value})
+        )
+        for name in ("x", "y", "vx", "vy")
+    },
+    "TrackRecord.track_id of a second record": lambda value: track_records(
+        RECORD, RECORD._replace(track_id=value)
+    ),
+    "run.frame": lambda value: ran({value: [Detection(value, 5.0, 5.0)]}),
+    "run.frame_range end": lambda value: ran(STREAM, frame_range=(1, value)),
+    "make_cv_model.sigma_a": partial(cv_model, "sigma_a"),
+    "make_cv_model.sigma_z": partial(cv_model, "sigma_z"),
     "init_state.p0_pos": lambda value: built(kfilter.init_state, 0.0, 0.0, p0_pos=value),
     "init_state.p0_vel": lambda value: built(kfilter.init_state, 0.0, 0.0, p0_vel=value),
     "evaluate.match_radius": lambda value: built(
@@ -128,8 +168,8 @@ PROBES = {
 }
 
 
-def test_thirty_fields_are_probed():
-    assert len(PROBES) == 30
+def test_forty_one_fields_are_probed():
+    assert len(PROBES) == 41
 
 
 @pytest.mark.parametrize("field", PROBES)
@@ -234,6 +274,75 @@ class TestSilentValuesRejected:
         with pytest.raises(UserError) as info:
             GroundTruth(frames)
         assert str(info.value) == message
+
+
+class TestValuesThatAreNotNumbersRejected:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: Tracker().step(1, [Detection(1, "0", 0.0)]),
+                "frame 1: detection (x, y, confidence) must be real numbers, got ('0', 0.0, 1.0)",
+            ),
+            (
+                lambda: Tracker().step(1, [Detection(1, 0.0, 0.0, "1")]),
+                "frame 1: detection (x, y, confidence) must be real numbers, got (0.0, 0.0, '1')",
+            ),
+            (
+                lambda: write_detections([Detection(2, 0.0, True)]),
+                "frame 2: detection (x, y, confidence) must be real numbers, got (0.0, True, 1.0)",
+            ),
+            (
+                lambda: GroundTruth({1: [(1, None, 0.0)]}),
+                "frame 1: gt_id 1 (x, y) must be real numbers, got (None, 0.0)",
+            ),
+            (
+                lambda: records_by_frame([FrameResult(1, [RECORD._replace(vy="0")], [], [])]),
+                "frame 1: track 1 (x, y, vx, vy) must be real numbers, got (0.0, 0.0, 0.0, '0')",
+            ),
+            (
+                # The ids do not compare, so they cannot be sorted.
+                lambda: records_by_frame(
+                    [FrameResult(1, [RECORD, RECORD._replace(track_id="a")], [], [])]
+                ),
+                "frame 1: track_id must be an integer, got 'a'",
+            ),
+            (
+                lambda: run({"1": [Detection("1", 0.0, 0.0)]}),
+                "frame must be an integer, got '1'",
+            ),
+            (
+                lambda: run(STREAM, frame_range=(1, "5")),
+                "frame_range end must be an integer, got '5'",
+            ),
+            (
+                # Accepted before, as the range 1..5.
+                lambda: run(STREAM, frame_range=(1, 5.5)),
+                "frame_range end must be an integer, got 5.5",
+            ),
+            (
+                # R's off-diagonal entries were inf * 0, NaN.
+                lambda: kfilter.make_cv_model(sigma_z=1e300),
+                "sigma_z must be positive and at most 1e+09, got 1e+300",
+            ),
+            (
+                # Q's blocks were inf.
+                lambda: kfilter.make_cv_model(sigma_a=1e300),
+                "sigma_a must be positive and at most 1e+09, got 1e+300",
+            ),
+        ],
+    )
+    def test_named_with_the_value(self, call, message):
+        with pytest.raises(UserError) as info:
+            call()
+        assert str(info.value) == message
+
+    def test_ints_and_numpy_numbers_are_numbers(self):
+        plain = Tracker().step(1, [Detection(1, 3.0, 4.0, 0.5)])
+        mixed = Tracker().step(1, [Detection(1, np.float64(3.0), 4, np.float32(0.5))])
+        assert write_tracks([mixed]) == write_tracks([plain])
+        gt = GroundTruth({1: [(1, np.float32(1.5), -2)]})
+        assert write_ground_truth(gt) == "1,1,1.500000,-2.000000\n"
 
 
 class TestNumpyIntegersAccepted:

@@ -110,6 +110,9 @@ class TestParseDetections:
             ("1,1e200,2", 1),
             ("1,1,1\n2,1,-1.5e9", 2),
             ("1,1,1\n2,oops,2", 2),
+            # A fault the conversion passes, then one it does not.
+            ("1,1e200,2\n1,oops,2", 1),
+            ("1,1,2\n1,3,4,1.5\n1,x,2", 2),
         ],
     )
     def test_malformed_lines_are_located(self, text, line):
@@ -186,6 +189,8 @@ class TestTrackFile:
             "1,1,0,1e200,0,0,C,M",
             "1,1,0,0,-2e9,0,C,M",
             "1,1,0,0,0,1e10,C,M",
+            # A fault the conversion passes, then one it does not.
+            "1,1,0,1e200,0,0,C,M\n1,2,0,0,0,0,X,M",
         ],
     )
     def test_malformed_records_located(self, text):
@@ -436,6 +441,9 @@ class TestGroundTruthFile:
             ("1,1,0,0\n1,1,5,5\n1,-3,9,9", 2, "gt_id 1 appears twice in frame 1"),
             ("1,1,0,0\n1,2,5,5\n1,-3,9,9", 3, "gt_id must be >= 1, got -3"),
             ("2,0,0,0", 1, "gt_id must be >= 1, got 0"),
+            # A fault the conversion passes, then one it does not.
+            ("1,1,0,0\n1,1,5,5\n1,x,9,9", 2, "gt_id 1 appears twice in frame 1"),
+            ("1,1,0,1e200\n1,x,0,0", 1, "y must lie within +-1e+09, got 1e+200"),
         ],
     )
     def test_bad_or_repeated_gt_id_located(self, text, line, message):
@@ -578,6 +586,28 @@ _VALID = {
 }
 
 
+# Files read twice: a fault the conversion passes (a range or a repeated id)
+# and then one it does not, whose error must name the first; and a valid
+# file whose one U+001C-padded field only the second, located read strips.
+_FALLBACK_ORDER = {
+    "detections": [
+        "1,1e200,2\n1,oops,2\n",
+        "1,1,2\n1,1,2,1.5\n1,1,2,x\n",
+        "2,1,2\n1,\x1c3.5\x1c,4,0.5\n2,5,6\n",
+    ],
+    "tracks": [
+        "1,1,0,1e200,0,0,C,M\n1,2,0,0,0,0,X,M\n",
+        "1,1,0,0,0,0,C,M\n1,1,5,5,0,0,C,M\n1,2,0,0,0,0,C,Q\n",
+        "1,2,0,0,0,0,C,M\n1,1,5,5,\x1c-0.5,0,T,P\n",
+    ],
+    "ground_truth": [
+        "1,1,0,1e200\n1,x,0,0\n",
+        "1,1,0,0\n1,1,5,5\n1,2,oops,0\n",
+        "1,1,0,0\n1,\x1c2,5,5\n",
+    ],
+}
+
+
 def _near_miss(kind, i):
     """A listed near miss for field i, or any float where a number goes."""
     tokens = _MISSES[kind][i]
@@ -650,6 +680,8 @@ class TestOnePassParsers:
                     second = fields[:i] + [pad + miss + pad] + fields[i + 1 :]
                     text = first + "\n" + ",".join(second) + "\n"
                     assert_parses_like_reference(parse, reference, text)
+        for text in _FALLBACK_ORDER[kind]:
+            assert_parses_like_reference(parse, reference, text)
 
 
 class TestConfig:
