@@ -2,12 +2,13 @@
 
 Tracking-by-detection over point targets: one constant-velocity Kalman
 filter per target, Euclidean cost matrices over predicted positions, exact
-Hungarian data association with hard gating, track lifecycle management,
-plus synthetic scenario generation and CLEAR-style evaluation to verify the
-whole pipeline at desk scale.
+minimum-cost data association (a shortest-augmenting-path `solve`) over the
+pairs inside each track's chi-square innovation gate, track lifecycle
+management, plus synthetic scenario generation and CLEAR-style evaluation
+to verify the whole pipeline at desk scale.
 """
 
-from .assignment import Assignment, CostMatrix, brute_force_solve, solve
+from .assignment import Assignment, CostMatrix, brute_force_solve, gate, solve
 from .errors import (
     AlignmentError,
     DimensionError,
@@ -33,7 +34,6 @@ from .tracker import (
     TrackRecord,
     TrackStatus,
     build_cost_matrix,
-    gate,
     group_by_frame,
     run,
 )

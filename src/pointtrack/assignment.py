@@ -41,6 +41,9 @@ One iterative augmenting-path search (``_augmenting_path``) serves both
 0/1 matchings: the maximum zero matching behind ``min_line_cover`` and
 ``solve``'s lex-min pass over the tight edges.
 
+``gate`` keeps the pairs of an assignment whose cost is within a gate
+distance, and builds its result as ``solve`` does (``_assignment``).
+
 ``brute_force_solve`` enumerates every injective assignment and is kept as
 an independent verification oracle.
 
@@ -422,14 +425,26 @@ def _assignment(cost: CostMatrix, chosen: dict[int, int]) -> Assignment:
     """The Assignment of the {row: column} pairs ``chosen``, rows ascending.
 
     ``total_cost`` is summed over the pairs in ``chosen``'s order, so both
-    paths of ``solve`` add the same entries in the same order.
+    paths of ``solve``, and ``gate``, add the same entries in ascending row
+    order.
     """
-    rows, cols = list(chosen), list(chosen.values())
     return Assignment(
         pairs=frozenset(chosen.items()),
-        unmatched_rows=frozenset(range(cost.n_rows)).difference(rows),
-        unmatched_cols=frozenset(range(cost.n_cols)).difference(cols),
-        total_cost=float(sum(cost.values[rows, cols].tolist())),
+        unmatched_rows=frozenset(range(cost.n_rows)).difference(chosen),
+        unmatched_cols=frozenset(range(cost.n_cols)).difference(chosen.values()),
+        total_cost=float(sum([cost.values.item(r, c) for r, c in chosen.items()])),
+    )
+
+
+def gate(assignment: Assignment, cost: CostMatrix, gate_px: float) -> Assignment:
+    """Drop every matched pair whose cost exceeds the gate distance.
+
+    Removed pairs move their row and column back to the unmatched sets, and
+    the total cost is summed over the survivors in ascending row order, as
+    ``solve``'s is.
+    """
+    return _assignment(
+        cost, {r: c for r, c in sorted(assignment.pairs) if cost.values[r, c] <= gate_px}
     )
 
 

@@ -55,7 +55,7 @@ import math
 from collections import defaultdict
 from functools import partial
 from itertools import groupby
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 from .errors import ParseError, UserError
@@ -235,13 +235,16 @@ def write_detections(detections: Iterable[Detection]) -> str:
 
     Raises:
         UserError: naming the frame, on a detection `parse_detections` would
-            reject: a frame below 1, a coordinate or confidence that is not a
+            reject: one that is not (frame, x, y, confidence), a frame below
+            1, a coordinate or confidence that is not a
             real number, a coordinate that is not finite or lies beyond
             COORD_LIMIT, or a confidence outside [0, 1]
             (`tracker.check_detections`).
     """
-    ordered = sorted(detections, key=attrgetter("frame"))
-    for frame, frame_detections in groupby(ordered, attrgetter("frame")):
+    # By item 0, a Detection's frame, so a tuple of the wrong length still
+    # reaches `check_detections`, which names its frame.
+    ordered = sorted(detections, key=itemgetter(0))
+    for frame, frame_detections in groupby(ordered, itemgetter(0)):
         check_detections(frame, frame_detections)
     line = "%s,%.6f,%.6f,%.6f\n"
     return "".join([line % d for d in ordered])
@@ -289,9 +292,10 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
 
     Raises:
         AlignmentError: on a frame below 1 or given twice.
-        UserError: when a track id is below 1 or appears twice in its
-            frame, or a position or velocity is not a real number, is not
-            finite or lies beyond COORD_LIMIT.
+        UserError: when a record is not a `TrackRecord`, a track id is
+            below 1 or appears twice in its frame, a position or velocity is
+            not a real number, is not finite or lies beyond COORD_LIMIT, or
+            the status or source is not one of its enum's members.
     """
     line = "%s,%s,%.6f,%.6f,%.6f,%.6f,%s,%s\n"
     # `_value_` is the member's value without the `value` property's cost.

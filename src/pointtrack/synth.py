@@ -20,14 +20,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .assignment import solve  # unused, like `gate`: perfbench patches both here by name
+from .assignment import gate, solve  # unused: perfbench patches both here by name
 from .errors import (
     ParamError, SpecError, UserError, check_integer, check_number, is_integer, is_number,
 )
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
-    COORD_LIMIT, FAR_POINT_ERROR, NOT_A_NUMBER_ERROR, Detection, FrameResult, TrackStatus,
-    associate, build_cost_matrix, gate, records_by_frame,
+    COORD_LIMIT, FAR_POINT_ERROR, NOT_A_NUMBER_ERROR, RECORD_SHAPE_ERROR, Detection,
+    FrameResult, TrackStatus, associate, build_cost_matrix, records_by_frame,
 )
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
@@ -120,7 +120,8 @@ class GroundTruth:
 
     The frame keys are the only record of which frames exist: each is an
     integer (`errors.is_integer`; a bool is not) of at least 1, and a
-    frame with no key holds no target. Each gt_id is such an integer and
+    frame with no key holds no target. Each frame's points are a list of
+    (gt_id, x, y) tuples. Each gt_id is such an integer and
     appears once per frame; coordinates are real numbers
     (`errors.is_number`), finite and within +-COORD_LIMIT. So
     `io.parse_ground_truth` reads back every file `io.write_ground_truth`
@@ -140,19 +141,23 @@ class GroundTruth:
             # `type(...) is int` and `is float` first: they hold for nearly
             # every point, and `is_integer` and `is_number` cost several times
             # more.
-            for gt_id, x, y in points:
-                if type(gt_id) is not int and not is_integer(gt_id):
-                    raise UserError(f"frame {frame}: gt_id must be an integer, got {gt_id!r}")
-                if gt_id < 1:
-                    raise UserError(f"frame {frame}: gt_id must be >= 1, got {gt_id}")
-                if gt_id in seen:
-                    raise UserError(f"gt_id {gt_id} appears twice in frame {frame}")
-                if not (type(x) is type(y) is float or is_number(x) and is_number(y)):
-                    what = f"gt_id {gt_id} (x, y)"
-                    raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y)))
-                if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-                    raise UserError(FAR_POINT_ERROR.format(frame, f"gt_id {gt_id} at", x, y))
-                seen.add(gt_id)
+            try:
+                for gt_id, x, y in points:
+                    if type(gt_id) is not int and not is_integer(gt_id):
+                        raise UserError(f"frame {frame}: gt_id must be an integer, got {gt_id!r}")
+                    if gt_id < 1:
+                        raise UserError(f"frame {frame}: gt_id must be >= 1, got {gt_id}")
+                    if gt_id in seen:
+                        raise UserError(f"gt_id {gt_id} appears twice in frame {frame}")
+                    if not (type(x) is type(y) is float or is_number(x) and is_number(y)):
+                        what = f"gt_id {gt_id} (x, y)"
+                        raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y)))
+                    if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+                        raise UserError(FAR_POINT_ERROR.format(frame, f"gt_id {gt_id} at", x, y))
+                    seen.add(gt_id)
+            except (TypeError, ValueError) as error:
+                shape = RECORD_SHAPE_ERROR.format(frame, "point", "gt_id, x, y", error)
+                raise UserError(shape) from None
 
     def at(self, frame: int) -> list[tuple[int, float, float]]:
         return self.frames.get(frame, [])

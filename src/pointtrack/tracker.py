@@ -62,7 +62,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import kfilter
-from .assignment import Assignment, CostMatrix, solve
+from .assignment import CostMatrix, gate, solve
 from .errors import AlignmentError, EmptyError, OrderError, ParamError, UserError
 from .errors import check_integer, check_number, is_integer, is_number
 
@@ -95,6 +95,14 @@ FAR_POINT_ERROR = "frame {}: {} ({}, {}) must be finite and within +-%g" % COORD
 # `type(...) is float` first: it holds for nearly every value, and
 # `is_number` costs several times more.
 NOT_A_NUMBER_ERROR = "frame {}: {} must be real numbers, got {!r}"
+
+# The error for a frame's records that do not unpack into their fields (a
+# record of the wrong length or kind, or records that are not a list),
+# formatted with the frame, what each record is ("detection"), its fields
+# and the unpacking error. The same loops catch the failure around their
+# unpacking instead of testing each record: a `try` costs nothing until it
+# raises.
+RECORD_SHAPE_ERROR = "frame {}: each {} must be ({}); {}"
 
 
 class TrackStatus(enum.Enum):
@@ -216,22 +224,6 @@ def build_cost_matrix(
     return CostMatrix(np.sqrt(dx, out=dx))
 
 
-def gate(assignment: Assignment, cost: CostMatrix, gate_px: float) -> Assignment:
-    """Drop every matched pair whose cost exceeds the gate distance.
-
-    Removed pairs move their row and column back to the unmatched sets and
-    the total cost is recomputed over the survivors.
-    """
-    kept = [(r, c) for r, c in assignment.pairs if cost.values[r, c] <= gate_px]
-    dropped = assignment.pairs - set(kept)
-    return Assignment(
-        pairs=frozenset(kept),
-        unmatched_rows=assignment.unmatched_rows | {r for r, _ in dropped},
-        unmatched_cols=assignment.unmatched_cols | {c for _, c in dropped},
-        total_cost=float(sum(cost.values[r, c] for r, c in kept)),
-    )
-
-
 def associate(
     cost: CostMatrix, gate_px: float, radius: np.ndarray | None = None
 ) -> dict[int, int]:
@@ -260,10 +252,9 @@ def associate(
     pairs are returned as `nonzero` lists them, rows ascending, with no
     further array work: the common frame of a sparse scene. Otherwise every
     other row and column with an in-gate entry forms one constant-filled
-    block, solved and gated at `gate_px` once; with no such rows, `solve`
-    and `gate` are not called. Within the block, ties follow `solve`'s
-    lexicographic rule, so with rows in track order the older track wins a
-    shared detection. Rows come out ascending.
+    block, solved and gated at `gate_px` once. Within the block, ties
+    follow `solve`'s lexicographic rule, so with rows in track order the
+    older track wins a shared detection. Rows come out ascending.
     """
     limit = gate_px if radius is None else np.minimum(radius, gate_px)[:, None]
     inside = cost.values <= limit
@@ -273,13 +264,12 @@ def associate(
         return dict(zip(row_list, col_list))
     lone = (np.bincount(rows)[rows] == 1) & (np.bincount(cols)[cols] == 1)
     col_of_row = dict(compress(zip(row_list, col_list), lone.tolist()))
-    if len(col_of_row) < len(rows):
-        block_rows = np.flatnonzero(np.bincount(rows[~lone]))
-        block_cols = np.flatnonzero(np.bincount(cols[~lone]))
-        within = np.ix_(block_rows, block_cols)
-        block = CostMatrix(np.where(inside[within], cost.values[within], gate_px + 1.0))
-        for r, c in gate(solve(block), block, gate_px).pairs:
-            col_of_row[int(block_rows[r])] = int(block_cols[c])
+    block_rows = np.flatnonzero(np.bincount(rows[~lone]))
+    block_cols = np.flatnonzero(np.bincount(cols[~lone]))
+    within = np.ix_(block_rows, block_cols)
+    block = CostMatrix(np.where(inside[within], cost.values[within], gate_px + 1.0))
+    for r, c in gate(solve(block), block, gate_px).pairs:
+        col_of_row[int(block_rows[r])] = int(block_cols[c])
     return dict(sorted(col_of_row.items()))
 
 
@@ -308,11 +298,12 @@ class Tracker:
         (`check_detections`), then the frame's order.
 
         Raises:
-            UserError: when the frame or a detection's frame is not an
-                integer (a bool is not), or the frame is below 1, or a
-                detection coordinate or confidence is not a real number, or
-                the coordinate is not finite or lies beyond COORD_LIMIT, or
-                the confidence is not in [0, 1] (`check_detections`).
+            UserError: when a detection is not (frame, x, y, confidence),
+                or the frame or a detection's frame is not an integer (a
+                bool is not), or the frame is below 1, or a detection
+                coordinate or confidence is not a real number, or the
+                coordinate is not finite or lies beyond COORD_LIMIT, or the
+                confidence is not in [0, 1] (`check_detections`).
             OrderError: when a detection is stamped with a different frame,
                 or the frame is not after the last stepped frame, or skips
                 frames while a track is live.
@@ -429,15 +420,19 @@ def run(
     Raises:
         UserError: when a stream key is not an integer (a bool is not), and
             as `Tracker.step` on each frame it steps.
-        ParamError: when an end of `frame_range` is not an integer.
+        ParamError: when `frame_range` is not a (start, end) pair or an
+            end of it is not an integer.
         OrderError: when `frame_range` ends before it starts.
     """
     for frame in detections_by_frame:
         if type(frame) is not int:
             check_integer(UserError, "frame", frame)
-    first, last = frame_range or (
-        min(detections_by_frame, default=1), max(detections_by_frame, default=1)
-    )
+    try:
+        first, last = frame_range or (
+            min(detections_by_frame, default=1), max(detections_by_frame, default=1)
+        )
+    except (TypeError, ValueError):
+        raise ParamError(f"frame_range must be a (start, end) pair, got {frame_range!r}") from None
     first = check_integer(ParamError, "frame_range start", first)
     last = check_integer(ParamError, "frame_range end", last)
     if first > last:
@@ -469,7 +464,8 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     hold and the writer writes only lines `io.parse_detections` reads.
 
     Raises:
-        UserError: when the frame or a detection's frame is not an integer
+        UserError: when a detection does not unpack into (frame, x, y,
+            confidence), or the frame or a detection's frame is not an integer
             (a bool is not), or the frame is below 1, or a detection
             coordinate or confidence is not a real number (a bool is not),
             or a coordinate is not finite or lies beyond COORD_LIMIT, or the
@@ -483,21 +479,27 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     # Unpacking costs less than reading four attributes and pays for the
     # type tests. `type(...) is int` comes first: it holds for nearly every
     # detection, and `is_integer` costs several times more.
-    for det_frame, x, y, confidence in detections:
-        if det_frame != frame:
-            raise OrderError(f"detection stamped frame {det_frame} fed to step({frame})")
-        if type(det_frame) is not int and not is_integer(det_frame):
-            raise UserError(f"frame {frame}: detection frame {det_frame!r} must be an integer")
-        if not (
-            type(x) is type(y) is type(confidence) is float
-            or all(map(is_number, (x, y, confidence)))
-        ):
-            what = "detection (x, y, confidence)"
-            raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, confidence)))
-        if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-            raise UserError(FAR_POINT_ERROR.format(frame, "detection at", x, y))
-        if not 0.0 <= confidence <= 1.0:
-            raise UserError(f"frame {frame}: detection confidence {confidence} must lie in [0, 1]")
+    try:
+        for det_frame, x, y, confidence in detections:
+            if det_frame != frame:
+                raise OrderError(f"detection stamped frame {det_frame} fed to step({frame})")
+            if type(det_frame) is not int and not is_integer(det_frame):
+                raise UserError(f"frame {frame}: detection frame {det_frame!r} must be an integer")
+            if not (
+                type(x) is type(y) is type(confidence) is float
+                or all(map(is_number, (x, y, confidence)))
+            ):
+                what = "detection (x, y, confidence)"
+                raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, confidence)))
+            if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+                raise UserError(FAR_POINT_ERROR.format(frame, "detection at", x, y))
+            if not 0.0 <= confidence <= 1.0:
+                raise UserError(
+                    f"frame {frame}: detection confidence {confidence} must lie in [0, 1]"
+                )
+    except (TypeError, ValueError) as error:
+        fields = "frame, x, y, confidence"
+        raise UserError(RECORD_SHAPE_ERROR.format(frame, "detection", fields, error)) from None
 
 
 def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackRecord]]:
@@ -511,10 +513,12 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
     Raises:
         AlignmentError: on a frame that is not an integer (a bool is not),
             is below 1 or is given twice.
-        UserError: naming the frame and the track, when a track id is not
-            an integer, is below 1 or appears twice in its frame, or a
+        UserError: naming the frame, when the records are not a list of
+            `TrackRecord`s; naming the frame and the track, when a track id
+            is not an integer, is below 1 or appears twice in its frame, or a
             position or velocity is not a real number (a bool is not), is not
-            finite or lies beyond COORD_LIMIT.
+            finite or lies beyond COORD_LIMIT, or the status is not a
+            `TrackStatus` or the source not a `RecordSource`.
     """
     by_frame: dict[int, list[TrackRecord]] = {}
     for result in results:
@@ -528,25 +532,38 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
         try:
             records = sorted(result.records, key=attrgetter("track_id"))
         except TypeError:  # ids that do not compare; the loop names one that is not an integer
-            records = list(result.records)
+            records = result.records
+        except AttributeError as error:  # an item that is not a TrackRecord
+            fields = ", ".join(TrackRecord._fields)
+            raise UserError(RECORD_SHAPE_ERROR.format(frame, "record", fields, error)) from None
         previous = 0  # sorted, so a repeated id follows itself
-        for track_id, x, y, vx, vy, _, _ in records:
-            if not (
-                type(x) is type(y) is type(vx) is type(vy) is float
-                or all(map(is_number, (x, y, vx, vy)))
-            ):
-                what = f"track {track_id} (x, y, vx, vy)"
-                raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, vx, vy)))
-            if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-                raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} at", x, y))
-            if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):
-                raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} velocity", vx, vy))
-            if type(track_id) is not int and not is_integer(track_id):
-                raise UserError(f"frame {frame}: track_id must be an integer, got {track_id!r}")
-            if track_id < 1:
-                raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")
-            if track_id == previous:
-                raise UserError(f"track_id {track_id} appears twice in frame {frame}")
-            previous = track_id
+        try:
+            for track_id, x, y, vx, vy, status, source in records:
+                if not (
+                    type(x) is type(y) is type(vx) is type(vy) is float
+                    or all(map(is_number, (x, y, vx, vy)))
+                ):
+                    what = f"track {track_id} (x, y, vx, vy)"
+                    raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, vx, vy)))
+                if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+                    raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} at", x, y))
+                if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):
+                    what = f"track {track_id} velocity"
+                    raise UserError(FAR_POINT_ERROR.format(frame, what, vx, vy))
+                if type(track_id) is not int and not is_integer(track_id):
+                    raise UserError(f"frame {frame}: track_id must be an integer, got {track_id!r}")
+                if track_id < 1:
+                    raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")
+                if track_id == previous:
+                    raise UserError(f"track_id {track_id} appears twice in frame {frame}")
+                if type(status) is not TrackStatus or type(source) is not RecordSource:
+                    raise UserError(
+                        f"frame {frame}: track {track_id} status and source must be a "
+                        f"TrackStatus and a RecordSource, got {status!r}, {source!r}"
+                    )
+                previous = track_id
+        except (TypeError, ValueError) as error:
+            fields = ", ".join(TrackRecord._fields)
+            raise UserError(RECORD_SHAPE_ERROR.format(frame, "record", fields, error)) from None
         by_frame[frame] = records
     return dict(sorted(by_frame.items()))

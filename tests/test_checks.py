@@ -22,6 +22,7 @@ from pointtrack.errors import (
 )
 from pointtrack.io import (
     parse_detections,
+    render_overlay,
     parse_ground_truth,
     parse_tracks,
     write_detections,
@@ -150,7 +151,7 @@ PROBES = {
         f"TrackRecord.{name}": lambda value, name=name: track_records(
             RECORD._replace(**{name: value})
         )
-        for name in ("x", "y", "vx", "vy")
+        for name in ("x", "y", "vx", "vy", "status", "source")
     },
     "TrackRecord.track_id of a second record": lambda value: track_records(
         RECORD, RECORD._replace(track_id=value)
@@ -168,8 +169,8 @@ PROBES = {
 }
 
 
-def test_forty_one_fields_are_probed():
-    assert len(PROBES) == 41
+def test_forty_three_fields_are_probed():
+    assert len(PROBES) == 43
 
 
 @pytest.mark.parametrize("field", PROBES)
@@ -343,6 +344,83 @@ class TestValuesThatAreNotNumbersRejected:
         assert write_tracks([mixed]) == write_tracks([plain])
         gt = GroundTruth({1: [(1, np.float32(1.5), -2)]})
         assert write_ground_truth(gt) == "1,1,1.500000,-2.000000\n"
+
+
+class TestWrongShapesRejected:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (
+                lambda: GroundTruth({1: [(1, 0.0)]}),
+                UserError,
+                "frame 1: each point must be (gt_id, x, y); "
+                "not enough values to unpack (expected 3, got 2)",
+            ),
+            (
+                lambda: GroundTruth({1: None}),
+                UserError,
+                "frame 1: each point must be (gt_id, x, y); 'NoneType' object is not iterable",
+            ),
+            (
+                lambda: Tracker().step(1, [(1, 0.0)]),
+                UserError,
+                "frame 1: each detection must be (frame, x, y, confidence); "
+                "not enough values to unpack (expected 4, got 2)",
+            ),
+            (
+                lambda: Tracker().step(1, [None]),
+                UserError,
+                "frame 1: each detection must be (frame, x, y, confidence); "
+                "cannot unpack non-iterable NoneType object",
+            ),
+            (
+                lambda: write_detections([(1, 0.0, 0.0)]),
+                UserError,
+                "frame 1: each detection must be (frame, x, y, confidence); "
+                "not enough values to unpack (expected 4, got 3)",
+            ),
+            (
+                lambda: records_by_frame([FrameResult(1, [(1, 0.0)], [], [])]),
+                UserError,
+                "frame 1: each record must be (track_id, x, y, vx, vy, status, source); "
+                "'tuple' object has no attribute 'track_id'",
+            ),
+            (
+                lambda: records_by_frame([FrameResult(1, None, [], [])]),
+                UserError,
+                "frame 1: each record must be (track_id, x, y, vx, vy, status, source); "
+                "'NoneType' object is not iterable",
+            ),
+            (
+                lambda: run({1: []}, frame_range=(1,)),
+                ParamError,
+                "frame_range must be a (start, end) pair, got (1,)",
+            ),
+            (
+                lambda: run({1: []}, frame_range=5),
+                ParamError,
+                "frame_range must be a (start, end) pair, got 5",
+            ),
+        ],
+    )
+    def test_named_with_the_frame(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "write", [write_tracks, lambda results: render_overlay(results, (640.0, 480.0))]
+    )
+    def test_record_status_and_source_codes(self, write):
+        # The file codes, not the enum members: write_tracks raised
+        # AttributeError, and render_overlay drew the record as tentative.
+        results = [FrameResult(1, [RECORD._replace(status="C", source="M")], [], [])]
+        with pytest.raises(UserError) as info:
+            write(results)
+        assert str(info.value) == (
+            "frame 1: track 1 status and source must be a TrackStatus and a "
+            "RecordSource, got 'C', 'M'"
+        )
 
 
 class TestNumpyIntegersAccepted:
