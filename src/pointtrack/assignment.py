@@ -4,9 +4,9 @@
 the rectangular form of Crouse 2016), O(n^3) for an n x n matrix. Column
 reduction seeds the dual variables ``u``, ``v`` and a partial matching;
 each row it leaves free is then matched along a shortest augmenting path,
-found by Dijkstra on the reduced costs ``c - u - v``. Rectangular inputs are
-padded to square with a sentinel cost and the padded pairs are stripped
-from the result.
+found by Dijkstra on the reduced costs ``c - u - v``. Every input is copied
+into one square matrix, whose cells beyond a rectangular input hold a
+sentinel cost, and the pairs on those cells are stripped from the result.
 
 Ties are broken deterministically: among equal-cost optima, the pairing
 whose (row, column) list sorted by row is lexicographically smallest wins.
@@ -83,14 +83,13 @@ class CostMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2:
             raise ValueError("cost matrix must be two-dimensional")
-        if v.size:
-            # A NaN makes both the min and the max NaN, which fails both
-            # comparisons.
-            low, high = v.min(), v.max()
-            if not (-math.inf < low and high < math.inf):
-                raise ValueError("cost matrix entries must be finite")
-            if low < -EPS:
-                raise ValueError("cost matrix entries must be nonnegative")
+        # A NaN makes both the min and the max NaN, which fails both
+        # comparisons; an empty matrix gives +inf and -inf, which pass both.
+        low, high = v.min(initial=math.inf), v.max(initial=-math.inf)
+        if not (-math.inf < low and high < math.inf):
+            raise ValueError("cost matrix entries must be finite")
+        if low < -EPS:
+            raise ValueError("cost matrix entries must be nonnegative")
         object.__setattr__(self, "values", v)
 
     @property
@@ -120,17 +119,13 @@ class Assignment:
 def reduce_rows(cost: CostMatrix) -> CostMatrix:
     """Subtract each row's minimum, leaving at least one zero per row."""
     v = cost.values
-    if v.size == 0:
-        return CostMatrix(v.copy())
-    return CostMatrix(v - v.min(axis=1, keepdims=True))
+    return CostMatrix(v - v.min(axis=1, keepdims=True, initial=np.inf))
 
 
 def reduce_cols(cost: CostMatrix) -> CostMatrix:
     """Subtract each column's minimum, leaving at least one zero per column."""
     v = cost.values
-    if v.size == 0:
-        return CostMatrix(v.copy())
-    return CostMatrix(v - v.min(axis=0, keepdims=True))
+    return CostMatrix(v - v.min(axis=0, keepdims=True, initial=np.inf))
 
 
 def _adjacency(mask: np.ndarray) -> list[list[int]]:
@@ -359,21 +354,23 @@ def _lex_min_tight_matching(
 def solve(cost: CostMatrix) -> Assignment:
     """Minimum-cost injective assignment of rows to columns.
 
-    Rectangular matrices are padded to square with (max entry + 1); pairs
-    touching padding are dropped afterwards, which preserves the optimum
-    over injective maps. Column reduction seeds the duals and a partial
-    matching, one shortest augmenting path per remaining free row completes
-    it, and the lexicographically smallest perfect matching on the final
-    tight edges is returned. ``total_cost`` is summed from the input matrix.
-    Edges within ``EPS`` of the duals are tight, so totals within ``EPS``
-    per pair of the optimum count as tied and go by the lexicographic rule;
-    ``brute_force_solve`` compares exact sums (on ``[[1e-9], [0]]``,
-    ``{(0, 0)}`` here and ``{(1, 0)}`` there).
+    Every matrix is copied into one (dim, dim) matrix, dim the longer side,
+    whose cells beyond the input hold (max entry + 1); a square input has
+    no such cells. Pairs touching padding are dropped afterwards, which
+    preserves the optimum over injective maps. Column reduction seeds the
+    duals and a partial matching, one shortest augmenting path per
+    remaining free row completes it, and the lexicographically smallest
+    perfect matching on the final tight edges is returned. ``total_cost``
+    is summed from the input matrix. Edges within ``EPS`` of the duals are
+    tight, so totals within ``EPS`` per pair of the optimum count as tied
+    and go by the lexicographic rule; ``brute_force_solve`` compares exact
+    sums (on ``[[1e-9], [0]]``, ``{(0, 0)}`` here and ``{(1, 0)}`` there).
 
     When each row of the shorter side has its own nearest column, ahead of
-    its runner-up by more than ``2 * dim * EPS`` (dim the longer side), that
-    nearest map is the answer and the dual pass is skipped; the result is the one the dual
-    pass would give (module docstring).
+    its runner-up by more than ``2 * dim * EPS``, that nearest map is the
+    answer and the dual pass is skipped; the result is the one the dual
+    pass would give (module docstring). A row of one entry has no
+    runner-up, so a 1 x 1 matrix always takes the shortcut.
 
     Raises DimensionError when either dimension is zero.
     """
@@ -385,20 +382,15 @@ def solve(cost: CostMatrix) -> Assignment:
     dim = max(n_rows, n_cols)
     short = cost.values if n_rows <= n_cols else cost.values.T
     nearest = short.argmin(axis=1).tolist()
-    if len(set(nearest)) == len(nearest) and (
-        short.shape[1] == 1
-        or (np.diff(np.partition(short, 1, axis=1)[:, :2]) > 2 * dim * EPS).all()
+    if (
+        len(set(nearest)) == len(nearest)
+        and (np.diff(np.sort(short, axis=1)[:, :2]) > 2 * dim * EPS).all()
     ):
-        if n_rows <= n_cols:
-            return _assignment(cost, dict(enumerate(nearest)))
-        return _assignment(cost, dict(sorted((r, c) for c, r in enumerate(nearest))))
+        pairs = enumerate(nearest) if n_rows <= n_cols else ((r, c) for c, r in enumerate(nearest))
+        return _assignment(cost, dict(sorted(pairs)))
 
-    if n_rows == n_cols:
-        padded = cost.values
-    else:
-        pad_cost = float(cost.values.max()) + 1.0
-        padded = np.full((dim, dim), pad_cost)
-        padded[:n_rows, :n_cols] = cost.values
+    padded = np.full((dim, dim), float(cost.values.max()) + 1.0)
+    padded[:n_rows, :n_cols] = cost.values
 
     # Column reduction (Jonker & Volgenant): ``v`` is the column minima and
     # ``u`` is zero, so every entry's reduced cost ``c - u - v`` is

@@ -234,7 +234,8 @@ def write_detections(detections: Iterable[Detection]) -> str:
     """Serialize detections, frames ascending, stable within a frame.
 
     Raises:
-        UserError: naming the frame, on a detection `parse_detections` would
+        UserError: on a detection with no item 0, or frames that do not
+            compare; naming the frame, on a detection `parse_detections` would
             reject: one that is not (frame, x, y, confidence), a frame below
             1, a coordinate or confidence that is not a
             real number, a coordinate that is not finite or lies beyond
@@ -243,7 +244,10 @@ def write_detections(detections: Iterable[Detection]) -> str:
     """
     # By item 0, a Detection's frame, so a tuple of the wrong length still
     # reaches `check_detections`, which names its frame.
-    ordered = sorted(detections, key=itemgetter(0))
+    try:
+        ordered = sorted(detections, key=itemgetter(0))
+    except (TypeError, LookupError) as error:  # no item 0, or frames that do not compare
+        raise UserError(f"each detection must be (frame, x, y, confidence); {error}") from None
     for frame, frame_detections in groupby(ordered, itemgetter(0)):
         check_detections(frame, frame_detections)
     line = "%s,%.6f,%.6f,%.6f\n"

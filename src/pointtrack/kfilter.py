@@ -161,9 +161,10 @@ def _invert_2x2(S: np.ndarray) -> np.ndarray:
     a, b = S[..., 0, 0], S[..., 0, 1]
     c, d = S[..., 1, 0], S[..., 1, 1]
     det = a * d - b * c
-    # A NaN min fails `>=`, an infinite max fails `<`; an empty stack passes.
+    # A NaN min fails `>=`, an infinite max fails `<`; an empty stack gives
+    # +inf and 0, which pass both.
     magnitude = np.abs(det)
-    if magnitude.size and not (magnitude.min() >= 1e-12 and magnitude.max() < math.inf):
+    if not (magnitude.min(initial=math.inf) >= 1e-12 and magnitude.max(initial=0.0) < math.inf):
         raise NumericalError(
             "innovation covariance is singular; check the measurement noise R"
         )

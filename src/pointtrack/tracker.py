@@ -319,8 +319,10 @@ class Tracker:
                 f"frame {frame} skips frames after last processed frame {self._last_frame}; "
                 f"step frame {self._last_frame + 1} next, with no detections if it has none"
             )
-        usable = [d for d in detections if d.confidence >= cfg.min_confidence]
-        points = np.array([(d.x, d.y) for d in usable], dtype=float).reshape(-1, 2)
+        # By position, as `check_detections` unpacks them, so a plain
+        # (frame, x, y, confidence) tuple steps like a Detection.
+        usable = [(px, py) for _, px, py, conf in detections if conf >= cfg.min_confidence]
+        points = np.array(usable, dtype=float).reshape(-1, 2)
 
         # 1. Predict every live track at once; row i is self.tracks[i].
         belief = self.belief
@@ -348,8 +350,8 @@ class Tracker:
             # x and P are predict's fresh arrays here, never self.belief's.
             x[rows], P[rows] = corrected.x, corrected.P
         claimed = set(col_of_row.values())
-        unclaimed = [d for c, d in enumerate(usable) if c not in claimed]
-        newborn = [kfilter.init_state(d.x, d.y, cfg.p0_pos, cfg.p0_vel) for d in unclaimed]
+        unclaimed = [point for c, point in enumerate(usable) if c not in claimed]
+        newborn = [kfilter.init_state(px, py, cfg.p0_pos, cfg.p0_vel) for px, py in unclaimed]
         # A track whose position or velocity leaves the limit dies below.
         inside = np.abs(x) <= COORD_LIMIT
         escaped = set() if inside.all() else set(np.flatnonzero(~inside.all(axis=1)).tolist())
@@ -427,10 +429,10 @@ def run(
     for frame in detections_by_frame:
         if type(frame) is not int:
             check_integer(UserError, "frame", frame)
+    if frame_range is None:
+        frame_range = (min(detections_by_frame, default=1), max(detections_by_frame, default=1))
     try:
-        first, last = frame_range or (
-            min(detections_by_frame, default=1), max(detections_by_frame, default=1)
-        )
+        first, last = frame_range
     except (TypeError, ValueError):
         raise ParamError(f"frame_range must be a (start, end) pair, got {frame_range!r}") from None
     first = check_integer(ParamError, "frame_range start", first)

@@ -401,12 +401,39 @@ class TestWrongShapesRejected:
                 ParamError,
                 "frame_range must be a (start, end) pair, got 5",
             ),
+            # A falsy range is not an omitted one.
+            (
+                lambda: run({1: []}, frame_range=0),
+                ParamError,
+                "frame_range must be a (start, end) pair, got 0",
+            ),
+            (
+                lambda: run({1: []}, frame_range=()),
+                ParamError,
+                "frame_range must be a (start, end) pair, got ()",
+            ),
+            (
+                lambda: write_detections([None]),
+                UserError,
+                "each detection must be (frame, x, y, confidence); "
+                "'NoneType' object is not subscriptable",
+            ),
         ],
     )
     def test_named_with_the_frame(self, call, error, message):
         with pytest.raises(error) as info:
             call()
         assert str(info.value) == message
+
+    def test_plain_tuple_steps_like_a_detection(self):
+        # `check_detections` accepts a (frame, x, y, confidence) tuple, so
+        # `step` must read it by position too, not by attribute.
+        stream = [[(1, 10.0, 20.0, 1.0), (1, 50.0, 60.0, 0.9)], [(2, 11.0, 21.0, 1.0)]]
+        plain, named = Tracker(), Tracker()
+        for frame, detections in enumerate(stream, start=1):
+            assert plain.step(frame, detections) == named.step(
+                frame, [Detection(*d) for d in detections]
+            )
 
     @pytest.mark.parametrize(
         "write", [write_tracks, lambda results: render_overlay(results, (640.0, 480.0))]
