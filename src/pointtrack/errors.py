@@ -5,14 +5,16 @@ configuration (the CLI maps it to exit code 2), ``InternalError`` covers
 violated internal invariants (exit code 3).
 
 Every scalar a constructor or a configured call checks follows one of
-three rules, stated here once:
+these rules, stated here once:
 
 * ``is_integer``: an int or numpy integer, never a bool;
 * ``is_number``: a real number (an int, a float or a numpy number of
   either kind), never a bool;
 * ``check_integer``: such an integer, at least a given bound;
 * ``check_number``: a real number that is not a bool, finite, in a closed
-  or half-open interval.
+  or half-open interval;
+* ``check_pair``: a pair of values that each pass ``check_number`` (a
+  canvas or scene's width and height).
 
 So a configuration value of the wrong type (a string, None, a bool, 1.5
 where a count belongs) raises the caller's ``UserError`` subclass naming
@@ -149,3 +151,23 @@ def check_number(
     else:
         rule = "be finite" + (" and positive" if above else " and nonnegative" if low == 0 else "")
     raise error(f"{name} must {rule}, got {value!r}")
+
+
+def check_pair(
+    error: type[UserError], name: str, value: object, low: float, high: float = math.inf,
+    *, above: bool = False,
+) -> tuple[float, float]:
+    """`value` as a pair of floats, each checked by `check_number`; else raise `error`.
+
+    A value that does not unpack into exactly two items raises ``name must
+    be a pair of numbers, got value``; a side out of range raises
+    `check_number`'s message for `name`, the first side first.
+    """
+    try:
+        first, second = value  # type: ignore[misc]
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a pair of numbers, got {value!r}") from None
+    return (
+        check_number(error, name, first, low, high, above=above),
+        check_number(error, name, second, low, high, above=above),
+    )

@@ -58,7 +58,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .errors import ParseError, UserError
+from .errors import ParamError, ParseError, UserError, check_pair
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
     COORD_LIMIT,
@@ -428,10 +428,12 @@ def render_overlay(
     neutral crosses. Output is a deterministic function of the inputs.
 
     Raises:
+        ParamError: when `bounds` is not a pair of real numbers in (0,
+            COORD_LIMIT], as `synth.ScenarioSpec` checks its bounds.
         AlignmentError, UserError: as `records_by_frame`, on results a track
             file could not hold.
     """
-    width, height = float(bounds[0]), float(bounds[1])
+    width, height = check_pair(ParamError, "bounds", bounds, 0, COORD_LIMIT, above=True)
     trails: dict[int, list[tuple[float, float]]] = {}
     documents = []
     for frame, records in records_by_frame(results).items():

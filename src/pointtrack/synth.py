@@ -12,27 +12,51 @@ tracker's own association rule (`build_cost_matrix`, then
 within the match radius, so a distance beyond the radius never decides
 which pairs within it are scored); misses, false positives, identity
 switches and fragmentations are accumulated and folded into MOTA.
+
+Unlike tracking, where each frame starts from the one before, the frames
+scored are independent, so small ones are matched in stacks: one padded
+distance array (`tracker.distances`, the kernel `build_cost_matrix` wraps)
+and one screen for lone pairs serve many frames, and only a frame with a
+shared pair, or one alone in its stack, costs its own `associate` call.
+The matching, and so every score, is the one the per-frame rule gives. On
+perfbench's `long5k` scene (~4 x 4.5 cells a frame, whose numpy calls
+cost far more than their arithmetic), 4,977 of the 4,998 scored frames at
+seed 1 need no call of their own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .assignment import gate, solve  # unused: perfbench patches both here by name
+import numpy as np
+
+from .assignment import CostMatrix, gate, solve  # gate, solve: perfbench patches both here
 from .errors import (
-    ParamError, SpecError, UserError, check_integer, check_number, is_integer, is_number,
+    ParamError, SpecError, UserError, check_integer, check_number, check_pair, is_integer,
+    is_number,
 )
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
     COORD_LIMIT, FAR_POINT_ERROR, NOT_A_NUMBER_ERROR, RECORD_SHAPE_ERROR, Detection,
-    FrameResult, TrackStatus, associate, build_cost_matrix, records_by_frame,
+    FrameResult, TrackRecord, TrackStatus, associate, build_cost_matrix, distances,
+    records_by_frame,
 )
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
 # gives sqrt(-2 ln 2^-53) = sqrt(106 ln 2) ~ 8.57.
 _GAUSS_BOUND = 9.0
+
+# Most padded cells (frames x most ground-truth points x most records) in one
+# stack of frames that `evaluate` measures and screens with one set of array
+# calls. Chosen by timing `evaluate` in-process (best of 15, numpy 2.4 on a
+# 2-vCPU Xeon): on `perfbench`'s `long5k`, ~20-cell frames, bounds from 1,024
+# to 4,096 ran alike (52 against 51 ms) and 256 ran slower (58 ms). A bound of
+# 1,024 keeps `crowd40`'s ~1,800-cell frames out of stacks: most of them hold
+# a shared pair and are matched again on their own, and 4,096, which stacked
+# them in pairs, took 66 ms against 61.
+STACK_CELLS = 1024
 
 
 class TargetPath(NamedTuple):
@@ -59,11 +83,11 @@ class ScenarioSpec:
     integer >= 1 and `seed` an integer (`errors.check_integer`; a bool is
     not one), stored as an int; `noise_sigma` a finite real number >= 0,
     `miss_prob` one in [0, 1], `clutter_rate` one in [0,
-    POISSON_RATE_MAX] and `bounds` a pair of them in (0, COORD_LIMIT]
-    (`errors.check_number`), stored as floats. Each target is six values:
-    integer frames 1 <= birth < death <= n_frames and a finite real start
-    and velocity, whose path (widened by the noise) stays within
-    +-COORD_LIMIT. Anything else raises `SpecError`.
+    POISSON_RATE_MAX] (`errors.check_number`) and `bounds` a pair of them
+    in (0, COORD_LIMIT] (`errors.check_pair`), stored as floats. Each
+    target is six values: integer frames 1 <= birth < death <= n_frames and
+    a finite real start and velocity, whose path (widened by the noise)
+    stays within +-COORD_LIMIT. Anything else raises `SpecError`.
     """
 
     n_frames: int
@@ -80,13 +104,8 @@ class ScenarioSpec:
         check_number(SpecError, "noise_sigma", self.noise_sigma, 0)
         check_number(SpecError, "miss_prob", self.miss_prob, 0, 1)
         check_number(SpecError, "clutter_rate", self.clutter_rate, 0, POISSON_RATE_MAX)
-        try:
-            width, height = self.bounds
-        except (TypeError, ValueError):
-            raise SpecError(f"bounds must be a pair of numbers, got {self.bounds!r}") from None
-        width = check_number(SpecError, "bounds", width, 0, COORD_LIMIT, above=True)
-        height = check_number(SpecError, "bounds", height, 0, COORD_LIMIT, above=True)
-        object.__setattr__(self, "bounds", (width, height))
+        bounds = check_pair(SpecError, "bounds", self.bounds, 0, COORD_LIMIT, above=True)
+        object.__setattr__(self, "bounds", bounds)
         targets = []
         margin = _GAUSS_BOUND * self.noise_sigma
         for i, t in enumerate(self.targets):
@@ -234,13 +253,18 @@ def evaluate(
 
     Only Confirmed records participate unless `include_tentative` is set.
     Each frame's ground-truth points (rows) and records (columns) are
-    matched by `tracker.associate(cost, match_radius)`: among the pairs at
-    most `match_radius` apart, the matching of least total distance, with
+    matched as by `tracker.associate(cost, match_radius)`: among the pairs
+    at most `match_radius` apart, the matching of least total distance, with
     every farther pair priced at `match_radius + 1` so that it cannot steer
-    the choice. An identity switch is counted when the track id matched to
-    a ground truth target differs from the id it was matched to the
-    previous time it was matched; a fragmentation is counted each time a
-    target is re-acquired after unmatched frames. The frames scored are
+    the choice. Small frames are matched in stacks of at most STACK_CELLS
+    padded cells (`_match_stack`): a frame whose in-radius pairs are all
+    lone (each the only one of its row and its column) takes them as
+    `associate` would, without a call of its own; any other frame, and a
+    frame alone in its stack, goes through `associate`. The matching is
+    the same either way. An identity switch is counted when the track id
+    matched to a ground truth target differs from the id it was matched to
+    the previous time it was matched; a fragmentation is counted each time
+    a target is re-acquired after unmatched frames. The frames scored are
     the keys of `gt.frames` and the result frames, ascending; a frame in
     neither holds nothing to score. Result frames with no ground truth are
     legal (a tracker may coast past the last live target); records there
@@ -255,23 +279,20 @@ def evaluate(
             real number, is not finite or lies beyond COORD_LIMIT.
     """
     check_number(ParamError, "match_radius", match_radius, 0, above=True)
-    wanted = set(TrackStatus) if include_tentative else {TrackStatus.CONFIRMED}
     by_frame = records_by_frame(results)
 
     matches = misses = false_positives = id_switches = fragmentation = 0
     last_track: dict[int, int] = {}
     in_gap: set[int] = set()
 
-    for frame in sorted(gt.frames.keys() | by_frame.keys()):
-        gt_points = gt.at(frame)
-        records = [r for r in by_frame.get(frame, ()) if r.status in wanted]
-        record_of: dict[int, int] = {}
-        if gt_points and records:
-            cost = build_cost_matrix(
-                [(x, y) for _, x, y in gt_points], [(r.x, r.y) for r in records]
-            )
-            record_of = associate(cost, match_radius)
-
+    # `is` one status, not `in` a set of them: an enum member hashes in
+    # Python code, once per record.
+    confirmed = TrackStatus.CONFIRMED
+    frames = (
+        (gt.at(f), [r for r in by_frame.get(f, ()) if include_tentative or r.status is confirmed])
+        for f in sorted(gt.frames.keys() | by_frame.keys())
+    )
+    for gt_points, records, record_of in _matched(frames, match_radius):
         matches += len(record_of)
         misses += len(gt_points) - len(record_of)
         false_positives += len(records) - len(record_of)
@@ -302,3 +323,95 @@ def evaluate(
         mota=mota,
         fragmentation=fragmentation,
     )
+
+
+# One scored frame: its ground-truth points and the records scored on them.
+_Frame = tuple[list[tuple[int, float, float]], list[TrackRecord]]
+
+
+def _matched(
+    frames: Iterable[_Frame], match_radius: float
+) -> Iterator[tuple[list[tuple[int, float, float]], list[TrackRecord], dict[int, int]]]:
+    """Each (gt_points, records) frame with its row -> column matching, in order.
+
+    Frames with both points and records are gathered, in order, into stacks
+    of at most STACK_CELLS padded cells, and each stack is matched
+    (`_match_stack`) and its frames yielded before the next is gathered, so
+    only one stack's frames are held at a time. A frame with nothing to
+    match between stacks is yielded at once, with an empty matching.
+    """
+    pending: list[_Frame] = []  # the frames from the stack's first on, in order
+    stack: list[int] = []  # indices into `pending` of the frames to match
+    n_rows = n_cols = 0
+    for gt_points, records in frames:
+        if gt_points and records:
+            rows, cols = max(n_rows, len(gt_points)), max(n_cols, len(records))
+            if stack and (len(stack) + 1) * rows * cols > STACK_CELLS:
+                yield from _match_stack(pending, stack, n_rows, n_cols, match_radius)
+                pending, stack = [], []
+                rows, cols = len(gt_points), len(records)
+            n_rows, n_cols = rows, cols
+            stack.append(len(pending))
+        elif not stack:
+            yield gt_points, records, {}
+            continue
+        pending.append((gt_points, records))
+    if stack:
+        yield from _match_stack(pending, stack, n_rows, n_cols, match_radius)
+
+
+def _match_stack(
+    pending: list[_Frame], stack: list[int], n_rows: int, n_cols: int, match_radius: float
+) -> Iterator[tuple[list[tuple[int, float, float]], list[TrackRecord], dict[int, int]]]:
+    """Match the frames `pending[i]` for i in `stack`, then yield every pending frame.
+
+    A frame alone in its stack is matched by `build_cost_matrix` and
+    `associate`: a stack of one frame saves no call and pays for its
+    padding and screen (a prototype that stacked them scored `sparse50`,
+    whose ~2,500-cell frames are each alone, 15% slower). Otherwise the
+    stack is one (frames, n_rows, n_cols) distance array (`distances`),
+    padded with NaN, which is never within the radius. One `nonzero` and
+    two `bincount`s find its lone pairs: the only in-radius entry of both
+    their row and their column. A frame whose in-radius pairs are all lone
+    takes them as `associate`'s early return would, rows ascending; any
+    other frame is matched by `associate` on its own slice. Positions are
+    stacked as doubles, whatever number type they came as, just as
+    `build_cost_matrix` converts them, so every entry has the bits that
+    builder gives.
+    """
+    if len(stack) == 1:
+        gt_points, records = pending[stack[0]]
+        cost = build_cost_matrix([(x, y) for _, x, y in gt_points], [(r.x, r.y) for r in records])
+        matched = {stack[0]: associate(cost, match_radius)}
+    else:
+        pad = (math.nan, math.nan)
+        row_xy: list[tuple[float, float]] = []
+        col_xy: list[tuple[float, float]] = []
+        for i in stack:
+            gt_points, records = pending[i]
+            row_xy += [(x, y) for _, x, y in gt_points]
+            row_xy += [pad] * (n_rows - len(gt_points))
+            col_xy += [(r.x, r.y) for r in records]
+            col_xy += [pad] * (n_cols - len(records))
+        cost = distances(
+            np.array(row_xy, dtype=float).reshape(len(stack), n_rows, 2),
+            np.array(col_xy, dtype=float).reshape(len(stack), n_cols, 2),
+        )
+        frame, rows, cols = (cost <= match_radius).nonzero()
+        row_key = frame * n_rows + rows
+        col_key = frame * n_cols + cols
+        lone = (np.bincount(row_key)[row_key] == 1) & (np.bincount(col_key)[col_key] == 1)
+        shared = set(frame[~lone].tolist())
+        ends = np.searchsorted(frame, np.arange(len(stack) + 1)).tolist()
+        row_list, col_list = rows.tolist(), cols.tolist()
+        matched = {}
+        for k, i in enumerate(stack):
+            if k in shared:
+                gt_points, records = pending[i]
+                values = cost[k, : len(gt_points), : len(records)]
+                matched[i] = associate(CostMatrix(values), match_radius)
+            else:
+                start, end = ends[k], ends[k + 1]
+                matched[i] = dict(zip(row_list[start:end], col_list[start:end]))
+    for i, (gt_points, records) in enumerate(pending):
+        yield gt_points, records, matched.get(i, {})

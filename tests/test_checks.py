@@ -19,8 +19,10 @@ from pointtrack.errors import (
     check_integer,
     check_number,
     is_integer,
+    is_number,
 )
 from pointtrack.io import (
+    COORD_LIMIT,
     parse_detections,
     render_overlay,
     parse_ground_truth,
@@ -119,6 +121,16 @@ def ran(stream, **kwargs):
         parse_tracks(write_tracks(results))
 
 
+def rendered(bounds):
+    documents = built(render_overlay, RESULTS, bounds)
+    if documents is not None:
+        # What it accepts it draws: a canvas of that size, which must be one.
+        width, height = bounds
+        assert is_number(width) and is_number(height)
+        assert 0 < width <= COORD_LIMIT and 0 < height <= COORD_LIMIT
+        assert f'width="{width:g}" height="{height:g}"' in documents[0][1]
+
+
 def cv_model(name, value):
     model = built(kfilter.make_cv_model, **{name: value})
     if model is not None:
@@ -166,11 +178,13 @@ PROBES = {
         evaluate, RESULTS, GroundTruth({1: [(1, 0.0, 0.0)]}), match_radius=value
     ),
     "Tracker.step.frame": stepped,
+    "render_overlay.bounds": rendered,
+    "render_overlay.bounds[0]": lambda value: rendered((value, 480.0)),
 }
 
 
-def test_forty_three_fields_are_probed():
-    assert len(PROBES) == 43
+def test_forty_five_fields_are_probed():
+    assert len(PROBES) == 45
 
 
 @pytest.mark.parametrize("field", PROBES)
@@ -230,6 +244,25 @@ class TestSilentValuesRejected:
         with pytest.raises(SpecError) as info:
             ScenarioSpec(n_frames=5, bounds=(side, 480))
         assert str(info.value) == f"bounds must be positive and at most 1e+09, got {side!r}"
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (("a", 1), "bounds must be positive and at most 1e+09, got 'a'"),
+            ((1,), "bounds must be a pair of numbers, got (1,)"),
+            (None, "bounds must be a pair of numbers, got None"),
+            # Accepted, these drew width="nan", a negative width, a canvas
+            # of 1e+300 px and one of True (1) px.
+            ((math.nan, 5), "bounds must be positive and at most 1e+09, got nan"),
+            ((-5, 5), "bounds must be positive and at most 1e+09, got -5"),
+            ((1e300, 1), "bounds must be positive and at most 1e+09, got 1e+300"),
+            ((True, 2), "bounds must be positive and at most 1e+09, got True"),
+        ],
+    )
+    def test_render_overlay_bounds_as_the_scenario_checks_them(self, bounds, message):
+        with pytest.raises(ParamError) as info:
+            render_overlay(RESULTS, bounds)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize(
         "fields, message",

@@ -17,9 +17,11 @@ from pointtrack import tracker as tracker_module
 from pointtrack.synth import ScenarioSpec, TargetPath, evaluate, generate
 from pointtrack.tracker import (
     Detection,
+    FrameResult,
     RecordSource,
     TrackerConfig,
     TrackStatus,
+    build_cost_matrix,
     group_by_frame,
     run,
 )
@@ -80,15 +82,65 @@ def test_every_draw_goes_through_next_u64(monkeypatch, scene):
     assert len(draws) == 650
 
 
-def test_evaluate_associates_once_per_scored_frame(monkeypatch, scene):
+def stacks(shapes, cells):
+    """Group the (rows, cols) shapes of consecutive scored frames as `evaluate` stacks them.
+
+    A frame joins the current stack while the stack, padded to its largest
+    rows and columns, stays within `cells`; returns the stacks' sizes.
+    """
+    sizes, rows, cols = [], 0, 0
+    for n, m in shapes:
+        rows, cols = max(rows, n), max(cols, m)
+        if sizes and (sizes[-1] + 1) * rows * cols <= cells:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+            rows, cols = n, m
+    return sizes
+
+
+def test_evaluate_associates_the_frames_it_cannot_screen(monkeypatch, scene):
     gt, _, results = scene
+    # A second confirmed record 3 px from the first on frames 20-24 puts two
+    # records within reach of one point, so those frames hold a shared pair.
+    results = [
+        FrameResult(
+            fr.frame,
+            fr.records + [
+                fr.records[0]._replace(
+                    track_id=99, x=fr.records[0].x + 3.0, status=TrackStatus.CONFIRMED
+                )
+            ],
+            fr.born,
+            fr.died,
+        )
+        if 20 <= fr.frame < 25 and fr.records
+        else fr
+        for fr in results
+    ]
     confirmed = {
         fr.frame: [r for r in fr.records if r.status is TrackStatus.CONFIRMED]
         for fr in results
     }
-    scored = [f for f in confirmed if gt.at(f) and confirmed[f]]
+    scored = [f for f in sorted(confirmed) if gt.at(f) and confirmed[f]]
     assert any(gt.at(f) and not confirmed[f] for f in confirmed)
     assert any(confirmed[f] and not gt.at(f) for f in confirmed)
+
+    # `evaluate` matches a frame through `tracker.associate` when the frame
+    # is alone in its stack or one of its in-radius pairs shares a row or a
+    # column; it takes every other frame's lone pairs directly.
+    shared = set()
+    for f in scored:
+        cost = build_cost_matrix(
+            [(x, y) for _, x, y in gt.at(f)], [(r.x, r.y) for r in confirmed[f]]
+        )
+        inside = cost.values <= 7.5
+        if (inside.sum(axis=0) > 1).any() or (inside.sum(axis=1) > 1).any():
+            shared.add(f)
+    sizes = stacks([(len(gt.at(f)), len(confirmed[f])) for f in scored], synth.STACK_CELLS)
+    starts = np.cumsum([0, *sizes[:-1]])
+    alone = {scored[start] for start, size in zip(starts, sizes) if size == 1}
+    assert shared and len(sizes) < len(scored)
 
     # `evaluate` reaches `solve` and `gate` only through `tracker.associate`,
     # so perfbench's eval spans on `synth.solve` and `synth.gate` see no call.
@@ -103,7 +155,7 @@ def test_evaluate_associates_once_per_scored_frame(monkeypatch, scene):
     solves = counting(monkeypatch, synth, "solve")
     gates = counting(monkeypatch, synth, "gate")
     evaluate(results, gt, match_radius=7.5)
-    assert associations == [((7.5,), {})] * len(scored)
+    assert associations == [((7.5,), {})] * len(shared | alone)
     assert solves == gates == []
 
 

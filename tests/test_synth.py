@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from pointtrack.io import (
 )
 from pointtrack.rng import POISSON_RATE_MAX, SplitMix64
 from pointtrack.synth import (
+    STACK_CELLS,
     GroundTruth,
     Metrics,
     ScenarioSpec,
@@ -32,7 +34,10 @@ from pointtrack.tracker import (
     RecordSource,
     TrackRecord,
     TrackStatus,
+    associate,
+    build_cost_matrix,
     group_by_frame,
+    records_by_frame,
     run,
 )
 
@@ -606,6 +611,125 @@ def test_scores_match_a_walk_over_every_frame(case, radius, tentative):
     results, gt = case
     kwargs = dict(match_radius=radius, include_tentative=tentative)
     assert evaluate(results, gt, **kwargs) == reference_evaluate(results, gt, **kwargs)
+
+
+def frame_by_frame_evaluate(results, gt, match_radius, include_tentative):
+    """`evaluate` as one loop: `build_cost_matrix` and `associate` on each scored frame."""
+    wanted = set(TrackStatus) if include_tentative else {TrackStatus.CONFIRMED}
+    by_frame = records_by_frame(results)
+    matches = misses = false_positives = id_switches = fragmentation = 0
+    last_track, in_gap = {}, set()
+    for frame in sorted(gt.frames.keys() | by_frame.keys()):
+        points = gt.at(frame)
+        records = [r for r in by_frame.get(frame, ()) if r.status in wanted]
+        record_of = {}
+        if points and records:
+            cost = build_cost_matrix([(x, y) for _, x, y in points], [(r.x, r.y) for r in records])
+            record_of = associate(cost, match_radius)
+        matches += len(record_of)
+        misses += len(points) - len(record_of)
+        false_positives += len(records) - len(record_of)
+        for row, (gt_id, _, _) in enumerate(points):
+            if row not in record_of:
+                if gt_id in last_track:
+                    in_gap.add(gt_id)
+                continue
+            track_id = records[record_of[row]].track_id
+            id_switches += last_track.get(gt_id, track_id) != track_id
+            if gt_id in in_gap:
+                fragmentation += 1
+                in_gap.discard(gt_id)
+            last_track[gt_id] = track_id
+    total = gt.total_points()
+    return Metrics(
+        id_switches=id_switches,
+        misses=misses,
+        false_positives=false_positives,
+        matches=matches,
+        mota=1.0 - (misses + false_positives + id_switches) / total if total else 1.0,
+        fragmentation=fragmentation,
+    )
+
+
+# x in {0, 3, 8} and y in {0, 4}: spots 0, 3, 4, 5 (3-4-5), 5.7 and more px
+# apart, so pairs lie exactly at a radius of 5 and one point often has two
+# records in reach (a shared pair).
+GRID_X, GRID_Y = (0.0, 3.0, 8.0), (0.0, 4.0)
+
+# A BIG x BIG frame holds more than half a stack, so it never shares one.
+BIG = math.isqrt(STACK_CELLS // 2) + 1
+
+
+@st.composite
+def stacked_scores(draw):
+    """Up to 80 consecutive frames of 0-6 points and 0-6 records, a few of them BIG x BIG.
+
+    Frames of different shapes share a stack, so its arrays are padded; a
+    small frame between two big ones is alone in its stack. Every position
+    in a case is a float, an int or a numpy float32, as the records and
+    ground truth accept all three. The frames come from a `random.Random`
+    seeded by Hypothesis: drawing each value through Hypothesis made one
+    run of this test as long as the rest of the suite.
+    """
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from([float, int, np.float32]))
+    grid_x, grid_y = [kind(x) for x in GRID_X], [kind(y) for y in GRID_Y]
+    truth, results = {}, []
+    for f in range(1, draw(st.integers(1, 80)) + 1):
+        if rand.random() < 0.1:
+            n_points = n_records = BIG
+        else:
+            n_points, n_records = rand.randint(0, 6), rand.randint(0, 6)
+        if n_points:
+            truth[f] = [
+                (i, rand.choice(grid_x), rand.choice(grid_y)) for i in range(1, n_points + 1)
+            ]
+        records = [
+            TrackRecord(
+                rand.randint(1, 3) * 100 + i, rand.choice(grid_x), rand.choice(grid_y), 0.0, 0.0,
+                rand.choice(list(TrackStatus)), RecordSource.MEASURED,
+            )
+            for i in range(n_records)
+        ]
+        results.append(FrameResult(f, records, [], []))
+    return results, GroundTruth(frames=truth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    case=stacked_scores(),
+    radius=st.sampled_from([0.25, 3.0, 5.0, 1e12]),
+    tentative=st.booleans(),
+)
+def test_stacked_frames_score_as_one_frame_at_a_time(case, radius, tentative):
+    results, gt = case
+    kwargs = dict(match_radius=radius, include_tentative=tentative)
+    assert evaluate(results, gt, **kwargs) == frame_by_frame_evaluate(results, gt, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kind, offset, radius",
+    [
+        # Integer positions: an unpadded stack of them must still be measured in floats.
+        (int, 5, 5.0),
+        # float32(0.1) is 0.1000000015 as a double, just outside a 0.1 radius;
+        # measured in float32 it would round onto the radius and match.
+        (np.float32, np.float32(0.1), 0.1),
+    ],
+)
+def test_stacked_positions_are_measured_as_doubles(kind, offset, radius):
+    # Two 1 x 1 frames share a stack with no padding, so the stack's arrays
+    # hold only the given positions.
+    gt = GroundTruth(frames={1: [(1, kind(0), kind(0))], 2: [(1, kind(0), kind(0))]})
+    results = [
+        FrameResult(
+            f, [TrackRecord(7, offset, kind(0), 0.0, 0.0, TrackStatus.CONFIRMED,
+                            RecordSource.MEASURED)], [], [],
+        )
+        for f in (1, 2)
+    ]
+    kwargs = dict(match_radius=radius, include_tentative=False)
+    assert evaluate(results, gt, **kwargs) == frame_by_frame_evaluate(results, gt, **kwargs)
 
 
 # Six targets crossing near the centre, with misses and clutter: some frames
