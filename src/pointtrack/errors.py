@@ -14,12 +14,14 @@ these rules, stated here once:
 * ``check_number``: a real number that is not a bool, finite, in a closed
   or half-open interval;
 * ``check_pair``: a pair of values that each pass ``check_number`` (a
-  canvas or scene's width and height).
+  canvas or scene's width and height);
+* ``check_kind``: a container or record of the kind an entry point reads
+  (a mapping of frames, a ``GroundTruth``, a ``FrameResult``).
 
 So a configuration value of the wrong type (a string, None, a bool, 1.5
-where a count belongs) raises the caller's ``UserError`` subclass naming
-the value when the object is built, never a ``TypeError`` partway through
-a run.
+where a count belongs, a list where a mapping belongs) raises the caller's
+``UserError`` subclass naming the value when the object is built, never a
+``TypeError`` partway through a run.
 """
 
 import math
@@ -171,3 +173,14 @@ def check_pair(
         check_number(error, name, first, low, high, above=above),
         check_number(error, name, second, low, high, above=above),
     )
+
+
+def check_kind(error: type[UserError], name: str, value: object, kind: type) -> None:
+    """Raise `error` unless `value` is an instance of `kind`.
+
+    The message names `name`, the kind and the value's type: ``name must be
+    a Kind, got type``.
+    """
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise error(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")

@@ -58,7 +58,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .errors import ParamError, ParseError, UserError, check_pair
+from .errors import ParamError, ParseError, UserError, check_kind, check_pair
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
     COORD_LIMIT,
@@ -430,10 +430,13 @@ def render_overlay(
     Raises:
         ParamError: when `bounds` is not a pair of real numbers in (0,
             COORD_LIMIT], as `synth.ScenarioSpec` checks its bounds.
+        UserError: when `gt` is given and is not a `synth.GroundTruth`.
         AlignmentError, UserError: as `records_by_frame`, on results a track
             file could not hold.
     """
     width, height = check_pair(ParamError, "bounds", bounds, 0, COORD_LIMIT, above=True)
+    if gt is not None:
+        check_kind(UserError, "gt", gt, GroundTruth)
     trails: dict[int, list[tuple[float, float]]] = {}
     documents = []
     for frame, records in records_by_frame(results).items():

@@ -7,35 +7,38 @@ determined by the seed through the pinned stream in `rng`.
 
 `evaluate` scores tracker output against ground truth with CLEAR-style
 accounting: per frame, hypotheses are matched to ground-truth points by the
-tracker's own association rule (`build_cost_matrix`, then
-`associate(cost, match_radius)`: the least-cost matching over the pairs
-within the match radius, so a distance beyond the radius never decides
-which pairs within it are scored); misses, false positives, identity
-switches and fragmentations are accumulated and folded into MOTA.
+tracker's own association rule (`tracker.associate` with the match radius
+as its gate: the least-cost matching over the pairs within the radius, so
+a distance beyond the radius never decides which pairs within it are
+scored); misses, false positives, identity switches and fragmentations are
+accumulated and folded into MOTA.
 
-Unlike tracking, where each frame starts from the one before, the frames
-scored are independent, so small ones are matched in stacks: one padded
-distance array (`tracker.distances`, the kernel `build_cost_matrix` wraps)
-and one screen for lone pairs serve many frames, and only a frame with a
-shared pair, or one alone in its stack, costs its own `associate` call.
-The matching, and so every score, is the one the per-frame rule gives. On
-perfbench's `long5k` scene (~4 x 4.5 cells a frame, whose numpy calls
-cost far more than their arithmetic), 4,977 of the 4,998 scored frames at
-seed 1 need no call of their own.
+Every matching is made in one place: `evaluate`'s frame loop, which builds
+a frame's cost with `build_cost_matrix` and calls `associate`. Unlike
+tracking, where each frame starts from the one before, the frames scored
+are independent, so small ones are first screened in stacks
+(`_screened`): one padded distance array (`tracker.distances`, the kernel
+`build_cost_matrix` wraps) and one screen for lone pairs serve many frames.
+A frame whose in-radius pairs are all lone needs no matching, since
+`associate` would return those pairs as they are; the loop matches every
+other frame. On perfbench's `long5k` scene (~4 x 4.5 cells a frame, whose
+numpy calls cost far more than their arithmetic), 4,977 of the 4,998
+scored frames at seed 1 are settled by the screen.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .assignment import CostMatrix, gate, solve  # gate, solve: perfbench patches both here
+from .assignment import gate, solve  # perfbench patches both here
 from .errors import (
-    ParamError, SpecError, UserError, check_integer, check_number, check_pair, is_integer,
-    is_number,
+    ParamError, SpecError, UserError, check_integer, check_kind, check_number, check_pair,
+    is_integer, is_number,
 )
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
@@ -137,10 +140,12 @@ class ScenarioSpec:
 class GroundTruth:
     """Exact target positions per frame: lists of (gt_id, x, y).
 
-    The frame keys are the only record of which frames exist: each is an
-    integer (`errors.is_integer`; a bool is not) of at least 1, and a
-    frame with no key holds no target. Each frame's points are a list of
-    (gt_id, x, y) tuples. Each gt_id is such an integer and
+    `frames` is a mapping. The frame keys are the only record of which
+    frames exist: each is an integer (`errors.is_integer`; a bool is not)
+    of at least 1, and a frame with no key holds no target. Each frame's
+    points are a list (any collection, but not a one-shot iterator, which
+    scoring could read only once) of (gt_id, x, y) tuples. Each gt_id is
+    such an integer and
     appears once per frame; coordinates are real numbers
     (`errors.is_number`), finite and within +-COORD_LIMIT. So
     `io.parse_ground_truth` reads back every file `io.write_ground_truth`
@@ -151,6 +156,7 @@ class GroundTruth:
     frames: dict[int, list[tuple[int, float, float]]]
 
     def __post_init__(self):
+        check_kind(UserError, "frames", self.frames, Mapping)
         for frame, points in self.frames.items():
             if type(frame) is not int and not is_integer(frame):
                 raise UserError(f"frame {frame!r} must be an integer")
@@ -177,6 +183,8 @@ class GroundTruth:
             except (TypeError, ValueError) as error:
                 shape = RECORD_SHAPE_ERROR.format(frame, "point", "gt_id, x, y", error)
                 raise UserError(shape) from None
+            if type(points) is not list:
+                check_kind(UserError, f"frame {frame}: points", points, Collection)
 
     def at(self, frame: int) -> list[tuple[int, float, float]]:
         return self.frames.get(frame, [])
@@ -253,32 +261,36 @@ def evaluate(
 
     Only Confirmed records participate unless `include_tentative` is set.
     Each frame's ground-truth points (rows) and records (columns) are
-    matched as by `tracker.associate(cost, match_radius)`: among the pairs
-    at most `match_radius` apart, the matching of least total distance, with
-    every farther pair priced at `match_radius + 1` so that it cannot steer
-    the choice. Small frames are matched in stacks of at most STACK_CELLS
-    padded cells (`_match_stack`): a frame whose in-radius pairs are all
-    lone (each the only one of its row and its column) takes them as
-    `associate` would, without a call of its own; any other frame, and a
-    frame alone in its stack, goes through `associate`. The matching is
-    the same either way. An identity switch is counted when the track id
-    matched to a ground truth target differs from the id it was matched to
-    the previous time it was matched; a fragmentation is counted each time
-    a target is re-acquired after unmatched frames. The frames scored are
-    the keys of `gt.frames` and the result frames, ascending; a frame in
-    neither holds nothing to score. Result frames with no ground truth are
-    legal (a tracker may coast past the last live target); records there
-    count as false positives.
+    matched by `tracker.associate` with `match_radius` as its gate: among
+    the pairs at most `match_radius` apart, the matching of least total
+    distance, with every farther pair priced at `match_radius + 1` so that
+    it cannot steer the choice. This function's loop makes every such call,
+    on the frame's `build_cost_matrix`. It skips only the frames that
+    `_screened` settles: small frames are screened in stacks of at most
+    STACK_CELLS padded cells, and a frame whose in-radius pairs are all
+    lone (each the only one of its row and its column) takes them, as
+    `associate`'s early return would. The matching is the same either way.
+    An identity switch is counted when the track id matched to a ground
+    truth target differs from the id it was matched to the previous time
+    it was matched; a fragmentation is counted each time a target is
+    re-acquired after unmatched frames. The frames scored are the keys of
+    `gt.frames` and the result frames, ascending; a frame in neither holds
+    nothing to score. Result frames with no ground truth are legal (a
+    tracker may coast past the last live target); records there count as
+    false positives.
 
     Raises:
         ParamError: when `match_radius` is not finite and positive.
         AlignmentError: on duplicate or non-positive result frames.
-        UserError: on any record, scored or not, that a track file could not
-            hold (`tracker.records_by_frame`): a track id below 1 or
-            repeated in its frame, or a position or velocity that is not a
-            real number, is not finite or lies beyond COORD_LIMIT.
+        UserError: when `gt` is not a `GroundTruth`, the results are not
+            iterable or one is not a `FrameResult`; on any record, scored or
+            not, that a track file could not hold
+            (`tracker.records_by_frame`): a track id below 1 or repeated in
+            its frame, or a position or velocity that is not a real number,
+            is not finite or lies beyond COORD_LIMIT.
     """
     check_number(ParamError, "match_radius", match_radius, 0, above=True)
+    check_kind(UserError, "gt", gt, GroundTruth)
     by_frame = records_by_frame(results)
 
     matches = misses = false_positives = id_switches = fragmentation = 0
@@ -292,7 +304,10 @@ def evaluate(
         (gt.at(f), [r for r in by_frame.get(f, ()) if include_tentative or r.status is confirmed])
         for f in sorted(gt.frames.keys() | by_frame.keys())
     )
-    for gt_points, records, record_of in _matched(frames, match_radius):
+    for (gt_points, records), record_of in _screened(frames, match_radius):
+        if record_of is None:
+            rows, cols = [(x, y) for _, x, y in gt_points], [(r.x, r.y) for r in records]
+            record_of = associate(build_cost_matrix(rows, cols), match_radius)
         matches += len(record_of)
         misses += len(gt_points) - len(record_of)
         false_positives += len(records) - len(record_of)
@@ -315,77 +330,71 @@ def evaluate(
         mota = 1.0 - (misses + false_positives + id_switches) / total_gt
     else:
         mota = 1.0
-    return Metrics(
-        id_switches=id_switches,
-        misses=misses,
-        false_positives=false_positives,
-        matches=matches,
-        mota=mota,
-        fragmentation=fragmentation,
-    )
+    return Metrics(id_switches, misses, false_positives, matches, mota, fragmentation)
 
 
 # One scored frame: its ground-truth points and the records scored on them.
 _Frame = tuple[list[tuple[int, float, float]], list[TrackRecord]]
+# Each frame with its lone pairs, its empty matching, or None for `evaluate` to match it.
+_Screened = Iterator[tuple[_Frame, dict[int, int] | None]]
 
 
-def _matched(
-    frames: Iterable[_Frame], match_radius: float
-) -> Iterator[tuple[list[tuple[int, float, float]], list[TrackRecord], dict[int, int]]]:
-    """Each (gt_points, records) frame with its row -> column matching, in order.
+def _screened(frames: Iterable[_Frame], match_radius: float) -> _Screened:
+    """Each (gt_points, records) frame, in order, with what the screen settles of it.
 
-    Frames with both points and records are gathered, in order, into stacks
-    of at most STACK_CELLS padded cells, and each stack is matched
-    (`_match_stack`) and its frames yielded before the next is gathered, so
-    only one stack's frames are held at a time. A frame with nothing to
+    That is the frame's lone pairs when a stack shows that every in-radius
+    pair of the frame is lone, None when `evaluate` must match the frame
+    itself, and an empty matching when the frame has no points or no
+    records. Frames with both points and records are gathered, in order, into stacks
+    of at most STACK_CELLS padded cells, and each stack is screened
+    (`_screen_stack`) and its frames yielded before the next is gathered,
+    so only one stack's frames are held at a time. A frame with nothing to
     match between stacks is yielded at once, with an empty matching.
     """
     pending: list[_Frame] = []  # the frames from the stack's first on, in order
-    stack: list[int] = []  # indices into `pending` of the frames to match
+    stack: list[int] = []  # indices into `pending` of the frames to screen
     n_rows = n_cols = 0
     for gt_points, records in frames:
         if gt_points and records:
             rows, cols = max(n_rows, len(gt_points)), max(n_cols, len(records))
             if stack and (len(stack) + 1) * rows * cols > STACK_CELLS:
-                yield from _match_stack(pending, stack, n_rows, n_cols, match_radius)
+                yield from _screen_stack(pending, stack, n_rows, n_cols, match_radius)
                 pending, stack = [], []
                 rows, cols = len(gt_points), len(records)
             n_rows, n_cols = rows, cols
             stack.append(len(pending))
         elif not stack:
-            yield gt_points, records, {}
+            yield (gt_points, records), {}
             continue
         pending.append((gt_points, records))
     if stack:
-        yield from _match_stack(pending, stack, n_rows, n_cols, match_radius)
+        yield from _screen_stack(pending, stack, n_rows, n_cols, match_radius)
 
 
-def _match_stack(
+def _screen_stack(
     pending: list[_Frame], stack: list[int], n_rows: int, n_cols: int, match_radius: float
-) -> Iterator[tuple[list[tuple[int, float, float]], list[TrackRecord], dict[int, int]]]:
-    """Match the frames `pending[i]` for i in `stack`, then yield every pending frame.
+) -> _Screened:
+    """Yield every pending frame: the frames `pending[i]` for i in `stack` screened.
 
-    A frame alone in its stack is matched by `build_cost_matrix` and
-    `associate`: a stack of one frame saves no call and pays for its
-    padding and screen (a prototype that stacked them scored `sparse50`,
-    whose ~2,500-cell frames are each alone, 15% slower). Otherwise the
-    stack is one (frames, n_rows, n_cols) distance array (`distances`),
-    padded with NaN, which is never within the radius. One `nonzero` and
-    two `bincount`s find its lone pairs: the only in-radius entry of both
-    their row and their column. A frame whose in-radius pairs are all lone
-    takes them as `associate`'s early return would, rows ascending; any
-    other frame is matched by `associate` on its own slice. Positions are
+    A screened frame whose in-radius pairs are all lone (each the only
+    in-radius entry of both its row and its column) comes with them, rows
+    ascending, as `associate`'s early return would give them. Any other
+    screened frame comes with None, for `evaluate` to match, and so does a
+    frame alone in its stack: a stack of one frame saves no call and pays
+    for its padding and screen (a prototype that stacked them scored
+    `sparse50`, whose ~2,500-cell frames are each alone, 15% slower). A
+    frame not screened has nothing to match and comes with an empty
+    matching. The stack is one (frames, n_rows, n_cols) distance array
+    (`distances`), padded with NaN, which is never within the radius; one
+    `nonzero` and two `bincount`s find its lone pairs. Positions are
     stacked as doubles, whatever number type they came as, just as
     `build_cost_matrix` converts them, so every entry has the bits that
     builder gives.
     """
-    if len(stack) == 1:
-        gt_points, records = pending[stack[0]]
-        cost = build_cost_matrix([(x, y) for _, x, y in gt_points], [(r.x, r.y) for r in records])
-        matched = {stack[0]: associate(cost, match_radius)}
-    else:
+    screened = dict.fromkeys(stack)
+    if len(stack) > 1:
         pad = (math.nan, math.nan)
-        row_xy: list[tuple[float, float]] = []
+        row_xy: list[tuple[float, float]] = []  # each frame's points, then its padding
         col_xy: list[tuple[float, float]] = []
         for i in stack:
             gt_points, records = pending[i]
@@ -404,14 +413,8 @@ def _match_stack(
         shared = set(frame[~lone].tolist())
         ends = np.searchsorted(frame, np.arange(len(stack) + 1)).tolist()
         row_list, col_list = rows.tolist(), cols.tolist()
-        matched = {}
-        for k, i in enumerate(stack):
-            if k in shared:
-                gt_points, records = pending[i]
-                values = cost[k, : len(gt_points), : len(records)]
-                matched[i] = associate(CostMatrix(values), match_radius)
-            else:
-                start, end = ends[k], ends[k + 1]
-                matched[i] = dict(zip(row_list[start:end], col_list[start:end]))
-    for i, (gt_points, records) in enumerate(pending):
-        yield gt_points, records, matched.get(i, {})
+        for k, (i, start, end) in enumerate(zip(stack, ends, ends[1:])):
+            if k not in shared:
+                screened[i] = dict(zip(row_list[start:end], col_list[start:end]))
+    for i, pending_frame in enumerate(pending):
+        yield pending_frame, screened.get(i, {})

@@ -57,14 +57,15 @@ import math
 from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kfilter
 from .assignment import CostMatrix, gate, solve
 from .errors import AlignmentError, EmptyError, OrderError, ParamError, UserError
-from .errors import check_integer, check_number, is_integer, is_number
+from .errors import check_integer, check_kind, check_number, is_integer, is_number
 
 
 # Largest accepted |coordinate| or |velocity| of a point, in pixels (per
@@ -219,10 +220,10 @@ def build_cost_matrix(
 
     Entry (i, j) is the distance from `rows[i]` to `cols[j]`; nothing is
     sorted. The tracker passes its predicted positions in ascending track
-    id order against the frame's detections. `synth.evaluate` scores a
-    frame alone in its stack with this same builder (ground-truth points as
-    rows, track records as columns), and its stacks of frames with the same
-    `distances`.
+    id order against the frame's detections. `synth.evaluate` builds with
+    it the cost of every frame it matches (ground-truth points as rows,
+    track records as columns), and screens its stacks of frames with the
+    same `distances`.
 
     Raises:
         EmptyError: if either side is empty; callers branch to the pure
@@ -300,14 +301,17 @@ class Tracker:
         self._next_id = 1
         self._last_frame = 0
 
-    def step(self, frame: int, detections: Sequence[Detection]) -> FrameResult:
+    def step(self, frame: int, detections: Iterable[Detection]) -> FrameResult:
         """Process one frame worth of detections; see the module docstring.
 
         The frame and its detections are checked first
-        (`check_detections`), then the frame's order.
+        (`check_detections`), then the frame's order. The detections may be
+        any iterable, a one-shot one too: the step reads the list of them
+        that `check_detections` checked.
 
         Raises:
-            UserError: when a detection is not (frame, x, y, confidence),
+            UserError: when the detections are not iterable, or a detection
+                is not (frame, x, y, confidence),
                 or the frame or a detection's frame is not an integer (a
                 bool is not), or the frame is below 1, or a detection
                 coordinate or confidence is not a real number, or the
@@ -318,7 +322,7 @@ class Tracker:
                 frames while a track is live.
         """
         cfg = self.config
-        check_detections(frame, detections)
+        detections = check_detections(frame, detections)
         if frame <= self._last_frame:
             raise OrderError(
                 f"frame {frame} is not after last processed frame {self._last_frame}"
@@ -429,12 +433,14 @@ def run(
     stream yields no results.
 
     Raises:
-        UserError: when a stream key is not an integer (a bool is not), and
-            as `Tracker.step` on each frame it steps.
+        UserError: when the stream is not a mapping, or a stream key is not
+            an integer (a bool is not), and as `Tracker.step` on each frame
+            it steps.
         ParamError: when `frame_range` is not a (start, end) pair or an
             end of it is not an integer.
         OrderError: when `frame_range` ends before it starts.
     """
+    check_kind(UserError, "detections_by_frame", detections_by_frame, Mapping)
     for frame in detections_by_frame:
         if type(frame) is not int:
             check_integer(UserError, "frame", frame)
@@ -467,20 +473,24 @@ def group_by_frame(detections: Iterable[Detection]) -> dict[int, list[Detection]
     return dict(sorted(grouped.items()))
 
 
-def check_detections(frame: int, detections: Iterable[Detection]) -> None:
-    """Check one frame's detections against the detection file's rules.
+def check_detections(frame: int, detections: Iterable[Detection]) -> list[Detection]:
+    """Check one frame's detections against the detection file's rules; return them as a list.
 
     `Tracker.step` checks each frame it is fed, and `io.write_detections`
     each frame it writes, so the tracker takes only detections a file can
-    hold and the writer writes only lines `io.parse_detections` reads.
+    hold and the writer writes only lines `io.parse_detections` reads. A
+    list is checked and returned as it is; any other iterable is read into
+    a new list first, so a one-shot one is read once and its detections
+    are still there to track.
 
     Raises:
-        UserError: when a detection does not unpack into (frame, x, y,
-            confidence), or the frame or a detection's frame is not an integer
-            (a bool is not), or the frame is below 1, or a detection
-            coordinate or confidence is not a real number (a bool is not),
-            or a coordinate is not finite or lies beyond COORD_LIMIT, or the
-            confidence is not in [0, 1]; the message names the frame.
+        UserError: when the detections are not iterable, or a detection
+            does not unpack into (frame, x, y, confidence), or the frame or a
+            detection's frame is not an integer (a bool is not), or the frame
+            is below 1, or a detection coordinate or confidence is not a real
+            number (a bool is not), or a coordinate is not finite or lies
+            beyond COORD_LIMIT, or the confidence is not in [0, 1]; the
+            message names the frame.
         OrderError: when a detection is stamped with a different frame.
     """
     if type(frame) is not int and not is_integer(frame):
@@ -491,6 +501,8 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     # type tests. `type(...) is int` comes first: it holds for nearly every
     # detection, and `is_integer` costs several times more.
     try:
+        if type(detections) is not list:
+            detections = list(detections)
         for det_frame, x, y, confidence in detections:
             if det_frame != frame:
                 raise OrderError(f"detection stamped frame {det_frame} fed to step({frame})")
@@ -511,6 +523,7 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> None:
     except (TypeError, ValueError) as error:
         fields = "frame, x, y, confidence"
         raise UserError(RECORD_SHAPE_ERROR.format(frame, "detection", fields, error)) from None
+    return detections
 
 
 def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackRecord]]:
@@ -524,15 +537,19 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
     Raises:
         AlignmentError: on a frame that is not an integer (a bool is not),
             is below 1 or is given twice.
-        UserError: naming the frame, when the records are not a list of
+        UserError: when the results are not iterable or one is not a
+            `FrameResult`; naming the frame, when the records are not a list of
             `TrackRecord`s; naming the frame and the track, when a track id
             is not an integer, is below 1 or appears twice in its frame, or a
             position or velocity is not a real number (a bool is not), is not
             finite or lies beyond COORD_LIMIT, or the status is not a
             `TrackStatus` or the source not a `RecordSource`.
     """
+    check_kind(UserError, "results", results, Iterable)
     by_frame: dict[int, list[TrackRecord]] = {}
     for result in results:
+        if type(result) is not FrameResult:
+            check_kind(UserError, "each result", result, FrameResult)
         frame = result.frame
         if type(frame) is not int and not is_integer(frame):
             raise AlignmentError(f"result frame {frame!r} must be an integer")

@@ -451,12 +451,70 @@ class TestWrongShapesRejected:
                 "each detection must be (frame, x, y, confidence); "
                 "'NoneType' object is not subscriptable",
             ),
+            # Read once by the check, an iterator would score as no points.
+            (
+                lambda: GroundTruth({1: iter([(1, 0.0, 0.0)])}),
+                UserError,
+                "frame 1: points must be a Collection, got list_iterator",
+            ),
+            # Containers of the wrong kind: each raised AttributeError or TypeError.
+            (
+                lambda: GroundTruth([(1, [(1, 0.0, 0.0)])]),
+                UserError,
+                "frames must be a Mapping, got list",
+            ),
+            (lambda: GroundTruth(None), UserError, "frames must be a Mapping, got NoneType"),
+            (
+                lambda: run(None),
+                UserError,
+                "detections_by_frame must be a Mapping, got NoneType",
+            ),
+            (
+                lambda: evaluate([(1, [RECORD])], GroundTruth({})),
+                UserError,
+                "each result must be a FrameResult, got tuple",
+            ),
+            (
+                lambda: write_tracks([(1, [RECORD])]),
+                UserError,
+                "each result must be a FrameResult, got tuple",
+            ),
+            (
+                lambda: render_overlay([(1, [RECORD])], (640.0, 480.0)),
+                UserError,
+                "each result must be a FrameResult, got tuple",
+            ),
+            (
+                lambda: evaluate(None, GroundTruth({})),
+                UserError,
+                "results must be an Iterable, got NoneType",
+            ),
+            (
+                lambda: evaluate(RESULTS, None),
+                UserError,
+                "gt must be a GroundTruth, got NoneType",
+            ),
+            (
+                lambda: render_overlay(RESULTS, (640.0, 480.0), gt={1: []}),
+                UserError,
+                "gt must be a GroundTruth, got dict",
+            ),
         ],
     )
     def test_named_with_the_frame(self, call, error, message):
         with pytest.raises(error) as info:
             call()
         assert str(info.value) == message
+
+    def test_one_shot_detections_are_tracked(self):
+        # `check_detections` read the iterator empty before `step` could:
+        # no record and no birth.
+        dets = [Detection(1, 5.0, 5.0), Detection(1, 50.0, 60.0)]
+        assert Tracker().step(1, iter(dets)) == Tracker().step(1, dets)
+        assert Tracker().step(1, iter(dets)).born == [1, 2]
+        stream = {f: [d._replace(frame=f) for d in dets] for f in range(1, 4)}
+        one_shot = {f: (d for d in frame_dets) for f, frame_dets in stream.items()}
+        assert run(one_shot) == run(stream)
 
     def test_plain_tuple_steps_like_a_detection(self):
         # `check_detections` accepts a (frame, x, y, confidence) tuple, so

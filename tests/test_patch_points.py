@@ -145,18 +145,31 @@ def test_evaluate_associates_the_frames_it_cannot_screen(monkeypatch, scene):
     # `evaluate` reaches `solve` and `gate` only through `tracker.associate`,
     # so perfbench's eval spans on `synth.solve` and `synth.gate` see no call.
     associations = []
+    costs = []
     real_associate = synth.associate
 
     def associate(*args, **kwargs):
+        costs.append(args[0])
         associations.append((args[1:], kwargs))
         return real_associate(*args, **kwargs)
 
     monkeypatch.setattr(synth, "associate", associate)
+    builds = counting(monkeypatch, synth, "build_cost_matrix")
     solves = counting(monkeypatch, synth, "solve")
     gates = counting(monkeypatch, synth, "gate")
     evaluate(results, gt, match_radius=7.5)
     assert associations == [((7.5,), {})] * len(shared | alone)
     assert solves == gates == []
+
+    # One matching path: each call's cost is the frame's own
+    # `build_cost_matrix`, bit for bit, built once for that call.
+    assert len(builds) == len(associations)
+    for f, cost in zip(sorted(shared | alone), costs):
+        expected = build_cost_matrix(
+            [(x, y) for _, x, y in gt.at(f)], [(r.x, r.y) for r in confirmed[f]]
+        )
+        assert cost.values.shape == expected.values.shape
+        assert cost.values.tobytes() == expected.values.tobytes()
 
 
 def test_evaluate_does_not_reach_the_tracker_cost_builder(monkeypatch, scene):
