@@ -24,33 +24,37 @@ Positions (x, y in every file) and track velocities (vx, vy) must lie in
 ``synth`` writes parses. The writers write only what the parsers read:
 ``write_detections`` and ``write_tracks`` raise a ``UserError`` naming the
 frame on anything else (``tracker.check_detections``,
-``tracker.records_by_frame``), and a ``GroundTruth`` checks itself when built.
+``tracker.records_by_frame``, which checks each frame with
+``tracker.check_records``), and a ``GroundTruth`` checks itself when built.
 
 Each data format is one converter and one table of the fields after the
 frame, each named with its reader. A parser converts the whole file first:
 each non-blank line is split on commas, its fields go through int(),
 float() and the code tables, and the records, grouped by frame, go to the
-check the library already applies to that record type
-(``tracker.check_detections`` per frame, ``tracker.records_by_frame``, the
-``GroundTruth`` constructor). The converters test no range and no id; the
-checks do. If a line does not convert (a field int() or float() cannot
-strip, U+001C to U+001F, which ``str.strip()`` strips, included) or the
-check raises, the whole text is read again line by line through the table
-(``_located``), which skips blank lines and raises the ParseError naming
-the first faulty line and its first fault, or converts each stripped line
-to the same records. The writers format each line with one ``%`` string,
+check the library already applies to that record type: each frame's to
+``tracker.check_detections`` or ``tracker.check_records`` (``_each_frame``,
+which keeps what the check returns, so track records come back sorted by
+id), the whole file's to the ``GroundTruth`` constructor. All three test
+the frame by one rule, ``tracker.check_frame``. The converters test no
+range and no id; the checks do. If a line does not convert (a field int()
+or float() cannot strip, U+001C to U+001F, which ``str.strip()`` strips,
+included) or the check raises, the whole text is read again line by line
+through the table (``_located``), which skips blank lines and raises the
+ParseError naming the first faulty line and its first fault, or converts
+each stripped line to the same records. The writers format each line with one ``%`` string,
 whose ``%s`` and ``%.6f`` give the bytes of ``{}`` and ``{:.6f}``.
 
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
-    Keys are exactly the TrackerConfig and ScenarioSpec field names;
-    ``bounds`` is WIDTHxHEIGHT and ``targets`` is a semicolon-separated
-    list of ``birth,death,x,y,vx,vy`` tuples.
+    Keys are exactly the TrackerConfig and ScenarioSpec field names, and
+    each value is read by the type the field is annotated with: an integer,
+    a decimal, ``bounds`` as WIDTHxHEIGHT, and ``targets`` as a
+    semicolon-separated list of ``birth,death,x,y,vx,vy`` tuples, each
+    value typed as its ``TargetPath`` field.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from collections import defaultdict
 from functools import partial
@@ -58,7 +62,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
-from .errors import ParamError, ParseError, UserError, check_kind, check_pair
+from .errors import ParamError, ParseError, SpecError, UserError, check_kind, check_pair
 from .synth import GroundTruth, ScenarioSpec, TargetPath
 from .tracker import (
     COORD_LIMIT,
@@ -69,17 +73,14 @@ from .tracker import (
     TrackRecord,
     TrackStatus,
     check_detections,
+    check_records,
     records_by_frame,
 )
 
-_TRACKER_KEYS = tuple(f.name for f in dataclasses.fields(TrackerConfig))
-_SCENARIO_KEYS = tuple(f.name for f in dataclasses.fields(ScenarioSpec))
-_INT_KEYS = {
-    name
-    for cls in (TrackerConfig, ScenarioSpec)
-    for name, hint in get_type_hints(cls).items()
-    if hint is int
-}
+# Each config field's type, by name: the annotations say which reader parses it.
+_TRACKER_TYPES = get_type_hints(TrackerConfig)
+_SCENARIO_TYPES = get_type_hints(ScenarioSpec)
+_TARGET_TYPES = get_type_hints(TargetPath)
 
 # Fixed 12-color palette; a track's color is palette[track_id % 12].
 PALETTE = (
@@ -189,7 +190,12 @@ def _read_lines(text: str, convert: Callable, fields: tuple, check: Callable, op
     `_located` skips a blank line, raises the ParseError naming the first
     faulty line, or returns its stripped fields, which ``convert`` then
     converts.
+
+    Raises:
+        UserError: when ``text`` is not a str, and as ``check``.
+        ParseError: naming the first faulty line, as `_located`.
     """
+    check_kind(UserError, "text", text, str)
     grouped: defaultdict[int, list] = defaultdict(list)
     try:
         for raw in text.split("\n"):
@@ -217,17 +223,15 @@ def _fast_detection(tokens: list[str]) -> tuple[int, Detection]:
     return frame, Detection(frame, float(x), float(y), float(confidence))
 
 
-def _checked_detections(grouped: dict[int, list[Detection]]) -> dict[int, list[Detection]]:
-    for frame, detections in grouped.items():
-        check_detections(frame, detections)
-    return grouped
+def _each_frame(check: Callable, grouped: dict[int, list]) -> dict[int, list]:
+    """Each frame's records as ``check(frame, records)`` returns them, frames in order."""
+    return {frame: check(frame, records) for frame, records in grouped.items()}
 
 
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Parse a detection file into a frame-indexed map, frames ascending."""
-    return _read_lines(
-        text, _fast_detection, _DETECTION_FIELDS, _checked_detections, optional=1
-    )
+    check = partial(_each_frame, check_detections)
+    return _read_lines(text, _fast_detection, _DETECTION_FIELDS, check, optional=1)
 
 
 def write_detections(detections: Iterable[Detection]) -> str:
@@ -277,14 +281,7 @@ def _fast_track(tokens: list[str]) -> tuple[int, TrackRecord]:
 
 def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     """Parse a track file into a frame-indexed record map, frames then track ids ascending."""
-    return _read_lines(
-        text,
-        _fast_track,
-        _TRACK_FIELDS,
-        lambda grouped: records_by_frame(
-            FrameResult(frame, records, [], []) for frame, records in grouped.items()
-        ),
-    )
+    return _read_lines(text, _fast_track, _TRACK_FIELDS, partial(_each_frame, check_records))
 
 
 def write_tracks(results: Sequence[FrameResult]) -> str:
@@ -325,22 +322,29 @@ def parse_ground_truth(text: str) -> GroundTruth:
 
 
 def write_ground_truth(gt: GroundTruth) -> str:
+    """Serialize ground truth, frames ascending, points in their stored order.
+
+    Raises:
+        UserError: when `gt` is not a `synth.GroundTruth`.
+    """
+    check_kind(UserError, "gt", gt, GroundTruth)
     line = "%s,%s,%.6f,%.6f\n"
     return "".join(
         [line % (frame, *point) for frame in sorted(gt.frames) for point in gt.frames[frame]]
     )
 
 
-def _parse_bounds(token: str, line_no: int) -> tuple[float, float]:
+def _parse_bounds(token: str, line_no: int, what: str) -> tuple[float, float]:
     parts = token.lower().split("x")
     if len(parts) != 2:
-        raise ParseError(f"bounds must be WIDTHxHEIGHT, got {token!r}", line=line_no)
-    width = _parse_float(parts[0], line_no, "bounds width")
-    height = _parse_float(parts[1], line_no, "bounds height")
+        raise ParseError(f"{what} must be WIDTHxHEIGHT, got {token!r}", line=line_no)
+    width = _parse_float(parts[0], line_no, f"{what} width")
+    height = _parse_float(parts[1], line_no, f"{what} height")
     return width, height
 
 
-def _parse_targets(token: str, line_no: int) -> tuple[TargetPath, ...]:
+def _parse_targets(token: str, line_no: int, what: str) -> tuple[TargetPath, ...]:
+    """The `targets` value; each message names a target field, not `what`."""
     token = token.strip()
     if not token:
         return ()
@@ -352,26 +356,35 @@ def _parse_targets(token: str, line_no: int) -> tuple[TargetPath, ...]:
                 f"target must be birth,death,x,y,vx,vy, got {chunk.strip()!r}",
                 line=line_no,
             )
-        targets.append(
-            TargetPath(
-                birth_frame=_parse_int(fields[0], line_no, "target birth_frame"),
-                death_frame=_parse_int(fields[1], line_no, "target death_frame"),
-                start_x=_parse_float(fields[2], line_no, "target start_x"),
-                start_y=_parse_float(fields[3], line_no, "target start_y"),
-                vx=_parse_float(fields[4], line_no, "target vx"),
-                vy=_parse_float(fields[5], line_no, "target vy"),
-            )
+        parsed = (
+            _PARSE_BY_TYPE[hint](field, line_no, f"target {name}")
+            for (name, hint), field in zip(_TARGET_TYPES.items(), fields)
         )
+        targets.append(TargetPath(*parsed))
     return tuple(targets)
+
+
+# The reader of each config field type: (token, line number, name) -> value.
+_PARSE_BY_TYPE = {
+    int: _parse_int,
+    float: _parse_float,
+    tuple[float, float]: _parse_bounds,
+    tuple[TargetPath, ...]: _parse_targets,
+}
 
 
 def parse_config(text: str) -> dict[str, object]:
     """Parse ``key = value`` configuration text into typed values.
 
+    Each value is read by the reader of its field's type, as the
+    `TrackerConfig`, `ScenarioSpec` and `TargetPath` annotations give it.
+
     Raises:
+        UserError: when ``text`` is not a str.
         ParseError: on unknown keys, duplicate keys, or malformed values.
     """
-    known = set(_TRACKER_KEYS) | set(_SCENARIO_KEYS)
+    check_kind(UserError, "text", text, str)
+    field_types = {**_TRACKER_TYPES, **_SCENARIO_TYPES}
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -382,30 +395,33 @@ def parse_config(text: str) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in field_types:
             raise ParseError(f"unknown configuration key {key!r}", line=line_no)
         if key in values:
             raise ParseError(f"duplicate configuration key {key!r}", line=line_no)
-        if key == "bounds":
-            values[key] = _parse_bounds(value, line_no)
-        elif key == "targets":
-            values[key] = _parse_targets(value, line_no)
-        elif key in _INT_KEYS:
-            values[key] = _parse_int(value, line_no, key)
-        else:
-            values[key] = _parse_float(value, line_no, key)
+        values[key] = _PARSE_BY_TYPE[field_types[key]](value, line_no, key)
     return values
 
 
 def tracker_config_from(values: Mapping[str, object]) -> TrackerConfig:
-    """Build a TrackerConfig from parsed configuration, defaults for the rest."""
-    kwargs = {k: values[k] for k in _TRACKER_KEYS if k in values}
+    """Build a TrackerConfig from parsed configuration, defaults for the rest.
+
+    Raises:
+        ParamError: when `values` is not a Mapping, and as `TrackerConfig`.
+    """
+    check_kind(ParamError, "values", values, Mapping)
+    kwargs = {k: values[k] for k in _TRACKER_TYPES if k in values}
     return TrackerConfig(**kwargs)  # type: ignore[arg-type]
 
 
 def scenario_spec_from(values: Mapping[str, object]) -> ScenarioSpec:
-    """Build a ScenarioSpec from parsed configuration, defaults for the rest."""
-    kwargs = {k: values[k] for k in _SCENARIO_KEYS if k in values}
+    """Build a ScenarioSpec from parsed configuration, defaults for the rest.
+
+    Raises:
+        SpecError: when `values` is not a Mapping, and as `ScenarioSpec`.
+    """
+    check_kind(SpecError, "values", values, Mapping)
+    kwargs = {k: values[k] for k in _SCENARIO_TYPES if k in values}
     kwargs.setdefault("n_frames", 100)
     return ScenarioSpec(**kwargs)  # type: ignore[arg-type]
 

@@ -43,8 +43,8 @@ from .errors import (
 from .rng import POISSON_RATE_MAX, SplitMix64
 from .tracker import (
     COORD_LIMIT, FAR_POINT_ERROR, NOT_A_NUMBER_ERROR, RECORD_SHAPE_ERROR, Detection,
-    FrameResult, TrackRecord, TrackStatus, associate, build_cost_matrix, distances,
-    records_by_frame,
+    FrameResult, TrackRecord, TrackStatus, associate, build_cost_matrix, check_frame,
+    distances, records_by_frame,
 )
 
 # Bound on |SplitMix64.gauss()|: the smallest nonzero 53-bit uniform, 2^-53,
@@ -90,7 +90,8 @@ class ScenarioSpec:
     in (0, COORD_LIMIT] (`errors.check_pair`), stored as floats. Each
     target is six values: integer frames 1 <= birth < death <= n_frames and
     a finite real start and velocity, whose path (widened by the noise)
-    stays within +-COORD_LIMIT. Anything else raises `SpecError`.
+    stays within +-COORD_LIMIT, and `targets` is an iterable of them.
+    Anything else raises `SpecError`.
     """
 
     n_frames: int
@@ -109,6 +110,7 @@ class ScenarioSpec:
         check_number(SpecError, "clutter_rate", self.clutter_rate, 0, POISSON_RATE_MAX)
         bounds = check_pair(SpecError, "bounds", self.bounds, 0, COORD_LIMIT, above=True)
         object.__setattr__(self, "bounds", bounds)
+        check_kind(SpecError, "targets", self.targets, Iterable)
         targets = []
         margin = _GAUSS_BOUND * self.noise_sigma
         for i, t in enumerate(self.targets):
@@ -142,26 +144,25 @@ class GroundTruth:
 
     `frames` is a mapping. The frame keys are the only record of which
     frames exist: each is an integer (`errors.is_integer`; a bool is not)
-    of at least 1, and a frame with no key holds no target. Each frame's
-    points are a list (any collection, but not a one-shot iterator, which
-    scoring could read only once) of (gt_id, x, y) tuples. Each gt_id is
-    such an integer and
-    appears once per frame; coordinates are real numbers
-    (`errors.is_number`), finite and within +-COORD_LIMIT. So
-    `io.parse_ground_truth` reads back every file `io.write_ground_truth`
-    writes, and checks every file it reads through this constructor.
-    Construction raises `UserError` naming the frame.
+    of at least 1 (`tracker.check_frame`), and a frame with no key holds no
+    target. Each frame's points are a list of (gt_id, x, y) tuples. Any
+    other collection (but not a one-shot iterator, which scoring could read
+    only once) is accepted and stored as a list, in a new dict of the
+    frames, so a scene equals the one its file reads back as. Each gt_id is
+    an integer (`errors.is_integer`) of at least 1 and appears once per
+    frame; coordinates are real numbers (`errors.is_number`), finite and
+    within +-COORD_LIMIT. So `io.parse_ground_truth` reads back every file
+    `io.write_ground_truth` writes, and checks every file it reads through
+    this constructor. Construction raises `UserError` naming the frame.
     """
 
     frames: dict[int, list[tuple[int, float, float]]]
 
     def __post_init__(self):
         check_kind(UserError, "frames", self.frames, Mapping)
+        as_lists = {}
         for frame, points in self.frames.items():
-            if type(frame) is not int and not is_integer(frame):
-                raise UserError(f"frame {frame!r} must be an integer")
-            if frame < 1:
-                raise UserError(f"frame {frame} must be >= 1")
+            check_frame(frame)
             seen: set[int] = set()
             # `type(...) is int` and `is float` first: they hold for nearly
             # every point, and `is_integer` and `is_number` cost several times
@@ -185,6 +186,9 @@ class GroundTruth:
                 raise UserError(shape) from None
             if type(points) is not list:
                 check_kind(UserError, f"frame {frame}: points", points, Collection)
+                as_lists[frame] = list(points)
+        if as_lists:
+            object.__setattr__(self, "frames", {**self.frames, **as_lists})
 
     def at(self, frame: int) -> list[tuple[int, float, float]]:
         return self.frames.get(frame, [])
@@ -217,7 +221,11 @@ def generate(spec: ScenarioSpec) -> tuple[GroundTruth, list[Detection]]:
     the bounds and appended after the target detections of their frame.
     Only frames where a target is alive are keys of the ground truth, as
     in `io.parse_ground_truth`, so a written scene reads back equal.
+
+    Raises:
+        SpecError: when `spec` is not a `ScenarioSpec`.
     """
+    check_kind(SpecError, "spec", spec, ScenarioSpec)
     stream = SplitMix64(spec.seed)
     width, height = spec.bounds
     truth: dict[int, list[tuple[int, float, float]]] = {}

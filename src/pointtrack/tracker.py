@@ -47,7 +47,10 @@ tracks this way.
 
 The readers of results (`io.write_tracks`, `synth.evaluate`,
 `io.render_overlay`) share one view of them, `records_by_frame`, checked
-once against the track file's rules.
+once against the track file's rules. Each record type has one check, which
+the file parsers in `io` hand what they read: `check_detections` and
+`check_records` take one frame, the `synth.GroundTruth` constructor the
+whole file. All three test each frame with one rule, `check_frame`.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ SIGMA_Z_MIN = 1e-3
 
 # The error for a point or velocity (x, y) not finite or beyond COORD_LIMIT,
 # formatted with the frame, what the pair is ("track 3 velocity"), x and y by
-# the per-record loops of `check_detections`, `records_by_frame` and
+# the per-record loops of `check_detections`, `check_records` and
 # `synth.GroundTruth` when their inline test fails.
 FAR_POINT_ERROR = "frame {}: {} ({}, {}) must be finite and within +-%g" % COORD_LIMIT
 
@@ -287,11 +290,14 @@ class Tracker:
     """Sequential multi-target tracker; feed frames ascending, consecutive while a track lives.
 
     A Tracker instance is a state machine and must not be shared between
-    threads; independent instances are free to run concurrently.
+    threads; independent instances are free to run concurrently. Without a
+    config it runs the default `TrackerConfig`; a config that is not a
+    `TrackerConfig` raises `ParamError`.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
-        self.config = config or TrackerConfig()
+        self.config = TrackerConfig() if config is None else config
+        check_kind(ParamError, "config", self.config, TrackerConfig)
         self.model = kfilter.make_cv_model(self.config.sigma_a, self.config.sigma_z)
         self.tracks: list[Track] = []
         self.belief = kfilter.KalmanState(
@@ -437,7 +443,8 @@ def run(
             an integer (a bool is not), and as `Tracker.step` on each frame
             it steps.
         ParamError: when `frame_range` is not a (start, end) pair or an
-            end of it is not an integer.
+            end of it is not an integer, or `config` is neither None nor a
+            `TrackerConfig`.
         OrderError: when `frame_range` ends before it starts.
     """
     check_kind(UserError, "detections_by_frame", detections_by_frame, Mapping)
@@ -493,10 +500,7 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> list[Detect
             message names the frame.
         OrderError: when a detection is stamped with a different frame.
     """
-    if type(frame) is not int and not is_integer(frame):
-        raise UserError(f"frame {frame!r} must be an integer")
-    if frame < 1:
-        raise UserError(f"frame {frame} must be >= 1")
+    check_frame(frame)
     # Unpacking costs less than reading four attributes and pays for the
     # type tests. `type(...) is int` comes first: it holds for nearly every
     # detection, and `is_integer` costs several times more.
@@ -526,24 +530,37 @@ def check_detections(frame: int, detections: Iterable[Detection]) -> list[Detect
     return detections
 
 
+def check_frame(frame: int) -> None:
+    """Check a frame number against the file formats' rule: an integer >= 1.
+
+    The one frame rule of `check_detections`, `check_records` and
+    `synth.GroundTruth`.
+
+    Raises:
+        UserError: when the frame is not an integer (a bool is not) or is
+            below 1; the message names the frame.
+    """
+    if type(frame) is not int and not is_integer(frame):
+        raise UserError(f"frame {frame!r} must be an integer")
+    if frame < 1:
+        raise UserError(f"frame {frame} must be >= 1")
+
+
 def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackRecord]]:
-    """Each result's records by frame, frames ascending, track ids ascending.
+    """Each result's records by frame, frames ascending, track ids ascending (`check_records`).
 
     The one view of tracker output that `io.write_tracks`, `synth.evaluate`
-    and `io.render_overlay` read. It is checked once against the track
-    file's rules, so `io.parse_tracks` reads back every file `write_tracks`
-    writes. Every result frame is a key, one with no records too.
+    and `io.render_overlay` read. This checks the results and their frames;
+    each frame's records go through `check_records`, the check
+    `io.parse_tracks` hands each frame it reads to, so `parse_tracks` reads
+    back every file `write_tracks` writes. Every result frame is a key, one
+    with no records too.
 
     Raises:
         AlignmentError: on a frame that is not an integer (a bool is not),
             is below 1 or is given twice.
         UserError: when the results are not iterable or one is not a
-            `FrameResult`; naming the frame, when the records are not a list of
-            `TrackRecord`s; naming the frame and the track, when a track id
-            is not an integer, is below 1 or appears twice in its frame, or a
-            position or velocity is not a real number (a bool is not), is not
-            finite or lies beyond COORD_LIMIT, or the status is not a
-            `TrackStatus` or the source not a `RecordSource`.
+            `FrameResult`, and as `check_records` on each result's records.
     """
     check_kind(UserError, "results", results, Iterable)
     by_frame: dict[int, list[TrackRecord]] = {}
@@ -557,41 +574,65 @@ def records_by_frame(results: Iterable[FrameResult]) -> dict[int, list[TrackReco
             raise AlignmentError(f"duplicate results for frame {frame}")
         if frame < 1:
             raise AlignmentError(f"result frame {frame} is not a valid frame index")
-        try:
-            records = sorted(result.records, key=attrgetter("track_id"))
-        except TypeError:  # ids that do not compare; the loop names one that is not an integer
-            records = result.records
-        except AttributeError as error:  # an item that is not a TrackRecord
-            fields = ", ".join(TrackRecord._fields)
-            raise UserError(RECORD_SHAPE_ERROR.format(frame, "record", fields, error)) from None
-        previous = 0  # sorted, so a repeated id follows itself
-        try:
-            for track_id, x, y, vx, vy, status, source in records:
-                if not (
-                    type(x) is type(y) is type(vx) is type(vy) is float
-                    or all(map(is_number, (x, y, vx, vy)))
-                ):
-                    what = f"track {track_id} (x, y, vx, vy)"
-                    raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, vx, vy)))
-                if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
-                    raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} at", x, y))
-                if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):
-                    what = f"track {track_id} velocity"
-                    raise UserError(FAR_POINT_ERROR.format(frame, what, vx, vy))
-                if type(track_id) is not int and not is_integer(track_id):
-                    raise UserError(f"frame {frame}: track_id must be an integer, got {track_id!r}")
-                if track_id < 1:
-                    raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")
-                if track_id == previous:
-                    raise UserError(f"track_id {track_id} appears twice in frame {frame}")
-                if type(status) is not TrackStatus or type(source) is not RecordSource:
-                    raise UserError(
-                        f"frame {frame}: track {track_id} status and source must be a "
-                        f"TrackStatus and a RecordSource, got {status!r}, {source!r}"
-                    )
-                previous = track_id
-        except (TypeError, ValueError) as error:
-            fields = ", ".join(TrackRecord._fields)
-            raise UserError(RECORD_SHAPE_ERROR.format(frame, "record", fields, error)) from None
-        by_frame[frame] = records
+        by_frame[frame] = check_records(frame, result.records)
     return dict(sorted(by_frame.items()))
+
+
+def check_records(frame: int, records: Iterable[TrackRecord]) -> list[TrackRecord]:
+    """Check one frame's track records against the track file's rules; return them by track id.
+
+    `records_by_frame` checks each result's records with it, and
+    `io.parse_tracks` each frame it reads. The records come back as a new
+    list, sorted by track id, ascending; any other iterable is read into a
+    list first, so a one-shot one is read once.
+
+    Raises:
+        UserError: when the frame is not an integer or is below 1
+            (`check_frame`); naming the frame, when the records are not an
+            iterable of `TrackRecord`s; naming the frame and the track, when
+            a track id is not an integer (a bool is not), is below 1 or
+            appears twice in the frame, or a position or velocity is not a
+            real number (a bool is not), is not finite or lies beyond
+            COORD_LIMIT, or the status is not a `TrackStatus` or the source
+            not a `RecordSource`.
+    """
+    check_frame(frame)
+    try:
+        if type(records) is not list:  # read a one-shot iterable once
+            records = list(records)
+        records = sorted(records, key=attrgetter("track_id"))
+    except TypeError:  # not iterable, or ids that do not compare: the loop names which
+        pass
+    except AttributeError as error:  # an item that is not a TrackRecord
+        fields = ", ".join(TrackRecord._fields)
+        raise UserError(RECORD_SHAPE_ERROR.format(frame, "record", fields, error)) from None
+    previous = 0  # sorted, so a repeated id follows itself
+    try:
+        for track_id, x, y, vx, vy, status, source in records:
+            if not (
+                type(x) is type(y) is type(vx) is type(vy) is float
+                or all(map(is_number, (x, y, vx, vy)))
+            ):
+                what = f"track {track_id} (x, y, vx, vy)"
+                raise UserError(NOT_A_NUMBER_ERROR.format(frame, what, (x, y, vx, vy)))
+            if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+                raise UserError(FAR_POINT_ERROR.format(frame, f"track {track_id} at", x, y))
+            if not (abs(vx) <= COORD_LIMIT and abs(vy) <= COORD_LIMIT):
+                what = f"track {track_id} velocity"
+                raise UserError(FAR_POINT_ERROR.format(frame, what, vx, vy))
+            if type(track_id) is not int and not is_integer(track_id):
+                raise UserError(f"frame {frame}: track_id must be an integer, got {track_id!r}")
+            if track_id < 1:
+                raise UserError(f"frame {frame}: track_id must be >= 1, got {track_id}")
+            if track_id == previous:
+                raise UserError(f"track_id {track_id} appears twice in frame {frame}")
+            if type(status) is not TrackStatus or type(source) is not RecordSource:
+                raise UserError(
+                    f"frame {frame}: track {track_id} status and source must be a "
+                    f"TrackStatus and a RecordSource, got {status!r}, {source!r}"
+                )
+            previous = track_id
+    except (TypeError, ValueError) as error:
+        fields = ", ".join(TrackRecord._fields)
+        raise UserError(RECORD_SHAPE_ERROR.format(frame, "record", fields, error)) from None
+    return records

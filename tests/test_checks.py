@@ -23,10 +23,13 @@ from pointtrack.errors import (
 )
 from pointtrack.io import (
     COORD_LIMIT,
+    parse_config,
     parse_detections,
     render_overlay,
     parse_ground_truth,
     parse_tracks,
+    scenario_spec_from,
+    tracker_config_from,
     write_detections,
     write_ground_truth,
     write_tracks,
@@ -40,6 +43,8 @@ from pointtrack.tracker import (
     TrackerConfig,
     TrackRecord,
     TrackStatus,
+    check_frame,
+    check_records,
     records_by_frame,
     run,
 )
@@ -342,6 +347,25 @@ class TestValuesThatAreNotNumbersRejected:
                 "frame 1: track_id must be an integer, got 'a'",
             ),
             (
+                lambda: check_records(1, [RECORD._replace(vy="0")]),
+                "frame 1: track 1 (x, y, vx, vy) must be real numbers, got (0.0, 0.0, 0.0, '0')",
+            ),
+            (
+                lambda: check_records(1, [RECORD, RECORD._replace(track_id="a")]),
+                "frame 1: track_id must be an integer, got 'a'",
+            ),
+            (
+                # Sorting read a one-shot iterator empty, and the loop checked
+                # nothing: no error, and an empty iterator came back.
+                lambda: check_records(1, iter([RECORD, RECORD._replace(track_id="a")])),
+                "frame 1: track_id must be an integer, got 'a'",
+            ),
+            (lambda: check_records(0, [RECORD]), "frame 0 must be >= 1"),
+            (lambda: check_records(True, [RECORD]), "frame True must be an integer"),
+            (lambda: check_frame("2"), "frame '2' must be an integer"),
+            (lambda: check_frame(1.0), "frame 1.0 must be an integer"),
+            (lambda: check_frame(np.int64(-1)), "frame -1 must be >= 1"),
+            (
                 lambda: run({"1": [Detection("1", 0.0, 0.0)]}),
                 "frame must be an integer, got '1'",
             ),
@@ -425,6 +449,18 @@ class TestWrongShapesRejected:
                 "'NoneType' object is not iterable",
             ),
             (
+                lambda: check_records(1, [(1, 0.0)]),
+                UserError,
+                "frame 1: each record must be (track_id, x, y, vx, vy, status, source); "
+                "'tuple' object has no attribute 'track_id'",
+            ),
+            (
+                lambda: check_records(1, None),
+                UserError,
+                "frame 1: each record must be (track_id, x, y, vx, vy, status, source); "
+                "'NoneType' object is not iterable",
+            ),
+            (
                 lambda: run({1: []}, frame_range=(1,)),
                 ParamError,
                 "frame_range must be a (start, end) pair, got (1,)",
@@ -499,6 +535,38 @@ class TestWrongShapesRejected:
                 UserError,
                 "gt must be a GroundTruth, got dict",
             ),
+            # Each of these became the default config.
+            (lambda: Tracker({}), ParamError, "config must be a TrackerConfig, got dict"),
+            (lambda: Tracker(0), ParamError, "config must be a TrackerConfig, got int"),
+            (
+                lambda: run(STREAM, config={}),
+                ParamError,
+                "config must be a TrackerConfig, got dict",
+            ),
+            # Each of these raised AttributeError or TypeError.
+            (lambda: Tracker(3), ParamError, "config must be a TrackerConfig, got int"),
+            (lambda: generate(SPEC), SpecError, "spec must be a ScenarioSpec, got dict"),
+            (
+                lambda: write_ground_truth({1: [(1, 0.0, 0.0)]}),
+                UserError,
+                "gt must be a GroundTruth, got dict",
+            ),
+            (lambda: parse_detections(None), UserError, "text must be a str, got NoneType"),
+            (lambda: parse_tracks(b"1,1,0,0,0,0,C,M"), UserError, "text must be a str, got bytes"),
+            (lambda: parse_ground_truth(["1,1,0,0"]), UserError, "text must be a str, got list"),
+            (lambda: parse_config(None), UserError, "text must be a str, got NoneType"),
+            (
+                lambda: tracker_config_from(None),
+                ParamError,
+                "values must be a Mapping, got NoneType",
+            ),
+            (
+                lambda: ScenarioSpec(n_frames=3, targets=None),
+                SpecError,
+                "targets must be an Iterable, got NoneType",
+            ),
+            # This one built a spec from nothing.
+            (lambda: scenario_spec_from([]), SpecError, "values must be a Mapping, got list"),
         ],
     )
     def test_named_with_the_frame(self, call, error, message):

@@ -37,3 +37,14 @@ def test_main_prints_each_module_and_the_total(tmp_path, capsys):
     assert code_lines.main([str(tmp_path / "a.py"), str(tmp_path / "b.py")]) == 0
     counts = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
     assert counts == ["8", "1", "9"]
+
+
+def test_main_counts_the_package_from_any_directory(tmp_path, monkeypatch, capsys):
+    # It printed "0  total" outside the repository root: it globbed a relative path.
+    package = sorted((TOOL.parents[1] / "src" / "pointtrack").glob("*.py"))
+    expected = sum(code_lines.code_lines(path.read_text(encoding="utf-8")) for path in package)
+    monkeypatch.chdir(tmp_path)
+    assert code_lines.main([]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(package) + 1
+    assert lines[-1].split() == [str(expected), "total"] and expected > 1000

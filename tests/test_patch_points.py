@@ -11,8 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from pointtrack import kfilter, rng, synth
-from pointtrack.io import write_tracks
+from pointtrack import io, kfilter, rng, synth
+from pointtrack.io import parse_detections, parse_tracks, write_detections, write_tracks
 from pointtrack import tracker as tracker_module
 from pointtrack.synth import ScenarioSpec, TargetPath, evaluate, generate
 from pointtrack.tracker import (
@@ -244,3 +244,18 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
     assert len(calls["update"]) == len(updated)
     assert sum(len(args[0].x) for args in calls["update"]) == sum(updated) == updates
     assert len(calls["init_state"]) == sum(len(fr.born) for fr in results)
+
+
+def test_parsers_hand_each_frame_to_its_check_once(monkeypatch, scene):
+    # The parsers look each record type's check up in `io` when they run,
+    # and call it once per frame of a valid file, frames ascending.
+    _, stream, results = scene
+    detections_text = write_detections([d for dets in stream.values() for d in dets])
+    tracks_text = write_tracks(results)
+    expected = parse_detections(detections_text), parse_tracks(tracks_text)
+    detection_checks = counting(monkeypatch, io, "check_detections")
+    record_checks = counting(monkeypatch, io, "check_records")
+    assert (parse_detections(detections_text), parse_tracks(tracks_text)) == expected
+    assert [frame for frame, _ in detection_checks] == list(stream)
+    assert [frame for frame, _ in record_checks] == [fr.frame for fr in results if fr.records]
+    assert len(record_checks) > 50

@@ -342,6 +342,20 @@ class TestGroundTruth:
         with pytest.raises(UserError, match=f"frame {frame} must be >= 1"):
             GroundTruth(frames={1: [(2, 1.0, 1.0)], frame: [(1, 0.0, 0.0)]})
 
+    @pytest.mark.parametrize("points", [((1, 0.0, 0.0),), {(1, 0.0, 0.0)}])
+    def test_points_of_any_collection_read_back_equal(self, points):
+        # Stored as given, a tuple of points compared unequal to the list
+        # the parser builds.
+        frames = {1: points, 2: [(1, 1.0, 0.0)]}
+        gt = GroundTruth(frames)
+        assert parse_ground_truth(write_ground_truth(gt)) == gt
+        assert gt.frames == {1: [(1, 0.0, 0.0)], 2: [(1, 1.0, 0.0)]}
+        assert frames[1] is points  # the caller's mapping is not changed
+
+    def test_lists_of_points_are_stored_as_given(self):
+        frames = {1: [(1, 0.0, 0.0)], 3: [(2, 1.0, 1.0)]}
+        assert GroundTruth(frames).frames is frames
+
     @pytest.mark.parametrize("frame", [3, 4, 5, 10**9])
     def test_every_frame_key_is_scored(self, frame):
         # The keys are the frames: a point on any frame counts, however far

@@ -18,14 +18,18 @@ from pointtrack.tracker import (
     COORD_LIMIT,
     SIGMA_Z_MIN,
     Detection,
+    FrameResult,
     RecordSource,
     Tracker,
     TrackerConfig,
+    TrackRecord,
     TrackStatus,
     associate,
     build_cost_matrix,
+    check_records,
     gate,
     group_by_frame,
+    records_by_frame,
     run,
 )
 
@@ -864,3 +868,31 @@ class TestConfigValidation:
             (2, TrackStatus.CONFIRMED, RecordSource.MEASURED),
         ]
         assert all(math.isfinite(v) for r in last for v in (r.x, r.y, r.vx, r.vy))
+
+
+@st.composite
+def valid_results(draw):
+    """Results a track file can hold, frames and track ids in any order."""
+    results = []
+    for frame in draw(st.lists(st.integers(1, 10**6), unique=True, max_size=6)):
+        records = [
+            TrackRecord(
+                track_id,
+                *draw(st.tuples(*[st.floats(-COORD_LIMIT, COORD_LIMIT)] * 4)),
+                draw(st.sampled_from(TrackStatus)),
+                draw(st.sampled_from(RecordSource)),
+            )
+            for track_id in draw(st.lists(st.integers(1, 10**9), unique=True, max_size=5))
+        ]
+        results.append(FrameResult(frame, records, [], []))
+    return results
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_results())
+def test_records_by_frame_checks_each_frame_with_check_records(results):
+    by_frame = records_by_frame(results)
+    assert by_frame == {r.frame: check_records(r.frame, r.records) for r in results}
+    assert list(by_frame) == sorted(r.frame for r in results)
+    for frame, records in by_frame.items():
+        assert [r.track_id for r in records] == sorted(r.track_id for r in records)

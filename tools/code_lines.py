@@ -6,11 +6,12 @@ lines count for nothing, and every line a statement spans counts, so a
 call split over four lines is four lines. Tokens come from `tokenize` and
 docstrings from `ast`.
 
-Run from the repository root:
+Run from any directory:
 
     python tools/code_lines.py [PATH ...]
 
-With no PATH it counts every `.py` file under `src/pointtrack`.
+With no PATH it counts every `.py` file under the `src/pointtrack` of the
+repository this tool is in.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import io
 import sys
 import tokenize
 from pathlib import Path
+
+SOURCE_DIR = Path(__file__).resolve().parents[1] / "src" / "pointtrack"
 
 # Token types that carry no code of their own.
 _LAYOUT = {
@@ -53,7 +56,7 @@ def code_lines(source: str) -> int:
 
 
 def main(argv: list[str]) -> int:
-    paths = [Path(p) for p in argv] or sorted(Path("src/pointtrack").glob("*.py"))
+    paths = [Path(p) for p in argv] or sorted(SOURCE_DIR.glob("*.py"))
     total = 0
     for path in paths:
         count = code_lines(path.read_text(encoding="utf-8"))
