@@ -12,7 +12,6 @@ from .assignment import Assignment, CostMatrix, brute_force_solve, gate, solve
 from .errors import (
     AlignmentError,
     DimensionError,
-    EmptyError,
     InternalError,
     NumericalError,
     OrderError,
@@ -73,7 +72,6 @@ __all__ = [
     "InternalError",
     "AlignmentError",
     "DimensionError",
-    "EmptyError",
     "NumericalError",
     "OrderError",
     "ParamError",

@@ -61,10 +61,6 @@ class NumericalError(UserError):
     """A matrix operation could not be carried out safely."""
 
 
-class EmptyError(UserError):
-    """An operation requiring nonempty inputs received an empty one."""
-
-
 class OrderError(UserError):
     """Frames were presented out of order."""
 

@@ -84,8 +84,10 @@ class KalmanState:
 def make_cv_model(sigma_a: float = 1.0, sigma_z: float = 2.0) -> MotionModel:
     """Build the constant-velocity model with dt = 1 frame.
 
-    Process noise follows the discrete white-noise acceleration form: per
-    axis, Q = sigma_a^2 * g g' with g = [dt^2/2, dt]', coupling position and
+    F adds each velocity to its position. Process noise follows the
+    discrete white-noise acceleration form: per axis, Q = sigma_a^2 * g g'
+    with g = [dt^2/2, dt]' = [0.5, 1]', so its position, cross and velocity
+    entries are sigma_a^2 times 0.25, 0.5 and 1, coupling position and
     velocity of the same axis only. Measurement noise is isotropic,
     R = sigma_z^2 * I.
 
@@ -102,26 +104,12 @@ def make_cv_model(sigma_a: float = 1.0, sigma_z: float = 2.0) -> MotionModel:
     check_number(ParamError, "sigma_a", sigma_a, 0, COORD_LIMIT, above=True)
     check_number(ParamError, "sigma_z", sigma_z, 0, COORD_LIMIT, above=True)
 
-    dt = 1.0
-    F = np.array(
-        [
-            [1.0, 0.0, dt, 0.0],
-            [0.0, 1.0, 0.0, dt],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
+    F = np.eye(STATE_DIM)
+    F[0, 2] = F[1, 3] = 1.0
+    H = np.eye(MEAS_DIM, STATE_DIM)
+    Q = (sigma_a * sigma_a) * np.array(
+        [[0.25, 0, 0.5, 0], [0, 0.25, 0, 0.5], [0.5, 0, 1, 0], [0, 0.5, 0, 1]]
     )
-    H = np.array(
-        [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-        ]
-    )
-    g = np.array([dt * dt / 2.0, dt])
-    q_block = (sigma_a * sigma_a) * np.outer(g, g)
-    Q = np.zeros((STATE_DIM, STATE_DIM))
-    for pos_i, vel_i in ((0, 2), (1, 3)):
-        Q[np.ix_([pos_i, vel_i], [pos_i, vel_i])] = q_block
     R = (sigma_z * sigma_z) * np.eye(MEAS_DIM)
     return MotionModel(F=F, Q=Q, H=H, R=R)
 

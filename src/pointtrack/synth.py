@@ -16,14 +16,16 @@ accumulated and folded into MOTA.
 Every matching is made in one place: `evaluate`'s frame loop, which builds
 a frame's cost with `build_cost_matrix` and calls `associate`. Unlike
 tracking, where each frame starts from the one before, the frames scored
-are independent, so small ones are first screened in stacks
-(`_screened`): one padded distance array (`tracker.distances`, the kernel
+are independent, so every one is first screened in stacks (`_screened`):
+one padded distance array (`tracker.distances`, the kernel
 `build_cost_matrix` wraps) and one screen for lone pairs serve many frames.
 A frame whose in-radius pairs are all lone needs no matching, since
-`associate` would return those pairs as they are; the loop matches every
-other frame. On perfbench's `long5k` scene (~4 x 4.5 cells a frame, whose
-numpy calls cost far more than their arithmetic), 4,977 of the 4,998
-scored frames at seed 1 are settled by the screen.
+`associate` would return those pairs as they are; a frame with no points
+or no records is one of them, with no pair. The loop matches every other
+frame, an empty-sided one alone in its stack too. On perfbench's `long5k`
+scene (~4 x 4.5 cells a frame, whose numpy calls cost far more than their
+arithmetic), 4,979 of the 5,000 scored frames at seed 1 are settled by the
+screen.
 """
 
 from __future__ import annotations
@@ -274,7 +276,7 @@ def evaluate(
     distance, with every farther pair priced at `match_radius + 1` so that
     it cannot steer the choice. This function's loop makes every such call,
     on the frame's `build_cost_matrix`. It skips only the frames that
-    `_screened` settles: small frames are screened in stacks of at most
+    `_screened` settles: the frames are screened in stacks of at most
     STACK_CELLS padded cells, and a frame whose in-radius pairs are all
     lone (each the only one of its row and its column) takes them, as
     `associate`'s early return would. The matching is the same either way.
@@ -343,7 +345,7 @@ def evaluate(
 
 # One scored frame: its ground-truth points and the records scored on them.
 _Frame = tuple[list[tuple[int, float, float]], list[TrackRecord]]
-# Each frame with its lone pairs, its empty matching, or None for `evaluate` to match it.
+# Each frame with its lone pairs, or None for `evaluate` to match it.
 _Screened = Iterator[tuple[_Frame, dict[int, int] | None]]
 
 
@@ -351,78 +353,67 @@ def _screened(frames: Iterable[_Frame], match_radius: float) -> _Screened:
     """Each (gt_points, records) frame, in order, with what the screen settles of it.
 
     That is the frame's lone pairs when a stack shows that every in-radius
-    pair of the frame is lone, None when `evaluate` must match the frame
-    itself, and an empty matching when the frame has no points or no
-    records. Frames with both points and records are gathered, in order, into stacks
-    of at most STACK_CELLS padded cells, and each stack is screened
+    pair of the frame is lone, and None when `evaluate` must match the
+    frame itself. Every frame, one with no points or no records too, is
+    gathered, in order, into stacks of at most STACK_CELLS padded cells, an
+    empty side counting as one row or column, so a stretch of frames with
+    no records still makes bounded stacks. Each stack is screened
     (`_screen_stack`) and its frames yielded before the next is gathered,
-    so only one stack's frames are held at a time. A frame with nothing to
-    match between stacks is yielded at once, with an empty matching.
+    so only one stack's frames are held at a time.
     """
-    pending: list[_Frame] = []  # the frames from the stack's first on, in order
-    stack: list[int] = []  # indices into `pending` of the frames to screen
+    stack: list[_Frame] = []
     n_rows = n_cols = 0
     for gt_points, records in frames:
-        if gt_points and records:
-            rows, cols = max(n_rows, len(gt_points)), max(n_cols, len(records))
-            if stack and (len(stack) + 1) * rows * cols > STACK_CELLS:
-                yield from _screen_stack(pending, stack, n_rows, n_cols, match_radius)
-                pending, stack = [], []
-                rows, cols = len(gt_points), len(records)
-            n_rows, n_cols = rows, cols
-            stack.append(len(pending))
-        elif not stack:
-            yield (gt_points, records), {}
-            continue
-        pending.append((gt_points, records))
+        rows, cols = max(n_rows, len(gt_points)), max(n_cols, len(records))
+        if stack and (len(stack) + 1) * max(rows, 1) * max(cols, 1) > STACK_CELLS:
+            yield from _screen_stack(stack, n_rows, n_cols, match_radius)
+            stack = []
+            rows, cols = len(gt_points), len(records)
+        n_rows, n_cols = rows, cols
+        stack.append((gt_points, records))
     if stack:
-        yield from _screen_stack(pending, stack, n_rows, n_cols, match_radius)
+        yield from _screen_stack(stack, n_rows, n_cols, match_radius)
 
 
-def _screen_stack(
-    pending: list[_Frame], stack: list[int], n_rows: int, n_cols: int, match_radius: float
-) -> _Screened:
-    """Yield every pending frame: the frames `pending[i]` for i in `stack` screened.
+def _screen_stack(stack: list[_Frame], n_rows: int, n_cols: int, radius: float) -> _Screened:
+    """Yield every frame of the stack, screened.
 
-    A screened frame whose in-radius pairs are all lone (each the only
-    in-radius entry of both its row and its column) comes with them, rows
-    ascending, as `associate`'s early return would give them. Any other
-    screened frame comes with None, for `evaluate` to match, and so does a
+    A frame whose in-radius pairs are all lone (each the only in-radius
+    entry of both its row and its column) comes with them, rows ascending,
+    as `associate`'s early return would give them; a frame with no points
+    or no records has no such pair and comes with an empty matching. Any
+    other frame comes with None, for `evaluate` to match, and so does a
     frame alone in its stack: a stack of one frame saves no call and pays
     for its padding and screen (a prototype that stacked them scored
-    `sparse50`, whose ~2,500-cell frames are each alone, 15% slower). A
-    frame not screened has nothing to match and comes with an empty
-    matching. The stack is one (frames, n_rows, n_cols) distance array
-    (`distances`), padded with NaN, which is never within the radius; one
-    `nonzero` and two `bincount`s find its lone pairs. Positions are
-    stacked as doubles, whatever number type they came as, just as
-    `build_cost_matrix` converts them, so every entry has the bits that
-    builder gives.
+    `sparse50`, whose ~2,500-cell frames are each alone, 15% slower). The
+    stack is one (frames, n_rows, n_cols) distance array (`distances`),
+    padded with NaN, which is never within the radius; one `nonzero` and
+    two `bincount`s find its lone pairs. Positions are stacked as doubles,
+    whatever number type they came as, just as `build_cost_matrix` converts
+    them, so every entry has the bits that builder gives.
     """
-    screened = dict.fromkeys(stack)
-    if len(stack) > 1:
-        pad = (math.nan, math.nan)
-        row_xy: list[tuple[float, float]] = []  # each frame's points, then its padding
-        col_xy: list[tuple[float, float]] = []
-        for i in stack:
-            gt_points, records = pending[i]
-            row_xy += [(x, y) for _, x, y in gt_points]
-            row_xy += [pad] * (n_rows - len(gt_points))
-            col_xy += [(r.x, r.y) for r in records]
-            col_xy += [pad] * (n_cols - len(records))
-        cost = distances(
-            np.array(row_xy, dtype=float).reshape(len(stack), n_rows, 2),
-            np.array(col_xy, dtype=float).reshape(len(stack), n_cols, 2),
-        )
-        frame, rows, cols = (cost <= match_radius).nonzero()
-        row_key = frame * n_rows + rows
-        col_key = frame * n_cols + cols
-        lone = (np.bincount(row_key)[row_key] == 1) & (np.bincount(col_key)[col_key] == 1)
-        shared = set(frame[~lone].tolist())
-        ends = np.searchsorted(frame, np.arange(len(stack) + 1)).tolist()
-        row_list, col_list = rows.tolist(), cols.tolist()
-        for k, (i, start, end) in enumerate(zip(stack, ends, ends[1:])):
-            if k not in shared:
-                screened[i] = dict(zip(row_list[start:end], col_list[start:end]))
-    for i, pending_frame in enumerate(pending):
-        yield pending_frame, screened.get(i, {})
+    if len(stack) == 1:
+        yield stack[0], None
+        return
+    pad = (math.nan, math.nan)
+    row_xy: list[tuple[float, float]] = []  # each frame's points, then its padding
+    col_xy: list[tuple[float, float]] = []
+    for gt_points, records in stack:
+        row_xy += [(x, y) for _, x, y in gt_points]
+        row_xy += [pad] * (n_rows - len(gt_points))
+        col_xy += [(r.x, r.y) for r in records]
+        col_xy += [pad] * (n_cols - len(records))
+    cost = distances(
+        np.array(row_xy, dtype=float).reshape(len(stack), n_rows, 2),
+        np.array(col_xy, dtype=float).reshape(len(stack), n_cols, 2),
+    )
+    frame, rows, cols = (cost <= radius).nonzero()
+    row_key = frame * n_rows + rows
+    col_key = frame * n_cols + cols
+    lone = (np.bincount(row_key)[row_key] == 1) & (np.bincount(col_key)[col_key] == 1)
+    shared = set(frame[~lone].tolist())
+    ends = np.searchsorted(frame, np.arange(len(stack) + 1)).tolist()
+    row_list, col_list = rows.tolist(), cols.tolist()
+    for k, (start, end) in enumerate(zip(ends, ends[1:])):
+        record_of = None if k in shared else dict(zip(row_list[start:end], col_list[start:end]))
+        yield stack[k], record_of

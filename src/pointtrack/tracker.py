@@ -8,7 +8,11 @@ coast on the prediction, and unclaimed detections give birth to new
 tracks. A step computes all of this before it changes any track, so a step
 that raises leaves the tracker as it was; one commit pass then records
 every track's hit or miss, drops the tracks that die and builds the next
-belief stack.
+belief stack. Every frame takes this one path, one with no track or no
+detection too: each step makes one `kfilter.predict`, one
+`build_cost_matrix`, one `associate` and one `kfilter.update` call, and an
+empty side gives a cost with no pair, matched to nothing, and a zero-row
+update.
 
 Gate: a detection is in a track's gate when its squared Mahalanobis
 innovation y'S^-1 y is at most CHI2_GATE, the chi-square (2 degrees of
@@ -67,7 +71,7 @@ import numpy as np
 
 from . import kfilter
 from .assignment import CostMatrix, gate, solve
-from .errors import AlignmentError, EmptyError, OrderError, ParamError, UserError
+from .errors import AlignmentError, OrderError, ParamError, UserError
 from .errors import check_integer, check_kind, check_number, is_integer, is_number
 
 
@@ -222,19 +226,16 @@ def build_cost_matrix(
     """Euclidean distances between two sequences of (x, y) points (`distances`).
 
     Entry (i, j) is the distance from `rows[i]` to `cols[j]`; nothing is
-    sorted. The tracker passes its predicted positions in ascending track
-    id order against the frame's detections. `synth.evaluate` builds with
-    it the cost of every frame it matches (ground-truth points as rows,
-    track records as columns), and screens its stacks of frames with the
-    same `distances`.
-
-    Raises:
-        EmptyError: if either side is empty; callers branch to the pure
-            birth / pure miss paths instead.
+    sorted. Either side may be empty: each is read as a (len, 2) array, so
+    the matrix is (n, 0) or (0, m) and holds no pair. The tracker passes
+    its predicted positions in ascending track id order against the
+    frame's detections. `synth.evaluate` builds with it the cost of every
+    frame it matches (ground-truth points as rows, track records as
+    columns), and screens its stacks of frames with the same `distances`.
     """
-    if len(rows) == 0 or len(cols) == 0:
-        raise EmptyError("cost matrix needs at least one row point and one column point")
-    return CostMatrix(distances(np.asarray(rows, dtype=float), np.asarray(cols, dtype=float)))
+    row_xy = np.asarray(rows, dtype=float).reshape(len(rows), 2)
+    col_xy = np.asarray(cols, dtype=float).reshape(len(cols), 2)
+    return CostMatrix(distances(row_xy, col_xy))
 
 
 def associate(
@@ -267,7 +268,8 @@ def associate(
     other row and column with an in-gate entry forms one constant-filled
     block, solved and gated at `gate_px` once. Within the block, ties
     follow `solve`'s lexicographic rule, so with rows in track order the
-    older track wins a shared detection. Rows come out ascending.
+    older track wins a shared detection. Rows come out ascending. A cost
+    with no row or no column has no in-gate pair and gives an empty map.
     """
     limit = gate_px if radius is None else np.minimum(radius, gate_px)[:, None]
     inside = cost.values <= limit
@@ -310,6 +312,10 @@ class Tracker:
     def step(self, frame: int, detections: Iterable[Detection]) -> FrameResult:
         """Process one frame worth of detections; see the module docstring.
 
+        A frame with no live track or no usable detection is no special
+        case: it is predicted, associated and updated like any other, on
+        empty stacks and an empty cost.
+
         The frame and its detections are checked first
         (`check_detections`), then the frame's order. The detections may be
         any iterable, a one-shot one too: the step reads the list of them
@@ -344,30 +350,24 @@ class Tracker:
         points = np.array(usable, dtype=float).reshape(-1, 2)
 
         # 1. Predict every live track at once; row i is self.tracks[i].
-        belief = self.belief
-        if self.tracks:
-            belief = kfilter.predict(belief, self.model)
+        belief = kfilter.predict(self.belief, self.model)
         x, P = belief.x, belief.P
 
         # 2. Associate predictions with detections inside each track's
         # chi-square gate; S = s I with s = P[0, 0] + sigma_z^2.
-        col_of_row: dict[int, int] = {}
-        if self.tracks and usable:
-            cost = build_cost_matrix(x[:, :2], points)
-            radius = np.sqrt(CHI2_GATE * (P[:, 0, 0] + self.model.R[0, 0]))
-            col_of_row = associate(cost, cfg.gate_px, radius)
+        cost = build_cost_matrix(x[:, :2], points)
+        radius = np.sqrt(CHI2_GATE * (P[:, 0, 0] + self.model.R[0, 0]))
+        col_of_row = associate(cost, cfg.gate_px, radius)
 
-        # 3. Correct the matched rows in one call; every unclaimed detection
-        # starts a belief.
-        if col_of_row:
-            n = len(col_of_row)
-            rows = np.fromiter(col_of_row, np.intp, n)
-            cols = np.fromiter(col_of_row.values(), np.intp, n)
-            corrected, _ = kfilter.update(
-                kfilter.KalmanState(x[rows], P[rows]), points[cols], self.model
-            )
-            # x and P are predict's fresh arrays here, never self.belief's.
-            x[rows], P[rows] = corrected.x, corrected.P
+        # 3. Correct the matched rows in one call, in predict's fresh arrays;
+        # every unclaimed detection starts a belief.
+        n = len(col_of_row)
+        rows = np.fromiter(col_of_row, np.intp, n)
+        cols = np.fromiter(col_of_row.values(), np.intp, n)
+        corrected, _ = kfilter.update(
+            kfilter.KalmanState(x[rows], P[rows]), points[cols], self.model
+        )
+        x[rows], P[rows] = corrected.x, corrected.P
         claimed = set(col_of_row.values())
         unclaimed = [point for c, point in enumerate(usable) if c not in claimed]
         newborn = [kfilter.init_state(px, py, cfg.p0_pos, cfg.p0_vel) for px, py in unclaimed]

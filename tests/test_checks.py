@@ -5,13 +5,15 @@ bad configuration must fail when it is built: a value a constructor accepts
 must also run, and what it writes must read back.
 """
 
+import ast
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pointtrack import kfilter
+from pointtrack import errors, kfilter
 from pointtrack.errors import (
     ParamError,
     SpecError,
@@ -688,3 +690,39 @@ class TestRules:
             check_number(SpecError, "x", 0.0, 0, 1, above=True)
         with pytest.raises(SpecError):
             check_number(SpecError, "x", np.nextafter(1.0, 2.0), 0, 1)
+
+
+def _name(node):
+    """The name a Name or an Attribute (`errors.ParamError`) ends in, else ''."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else ""
+
+
+def _raised_names(tree):
+    """Names raised (`raise E`, `raise E(...)`) or passed first to a `check_*` helper."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            names.add(_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc))
+        elif isinstance(node, ast.Call) and _name(node.func).startswith("check_") and node.args:
+            names.add(_name(node.args[0]))
+    return names
+
+
+def test_every_error_class_is_raised_by_some_module():
+    # An error class that no module raises is dead weight in the public API.
+    raised = set()
+    for path in Path(errors.__file__).parent.glob("*.py"):
+        if path.name not in ("errors.py", "__init__.py"):
+            raised |= _raised_names(ast.parse(path.read_text(), str(path)))
+    classes = [
+        kind.__name__
+        for kind in vars(errors).values()
+        if isinstance(kind, type)
+        and issubclass(kind, errors.TrackingError)
+        and kind is not errors.TrackingError
+        and kind.__module__ == errors.__name__
+    ]
+    assert {"UserError", "InternalError", "ParseError"} <= set(classes)
+    assert [name for name in classes if name not in raised] == []

@@ -94,6 +94,36 @@ class TestModelConstruction:
             assert np.linalg.eigvalsh(M).min() >= -1e-12
 
 
+def reference_cv_model(sigma_a, sigma_z):
+    """F, Q, H and R built from dt = 1, with Q's per-axis blocks sigma_a^2 g g'."""
+    dt = 1.0
+    F = np.array(
+        [[1.0, 0.0, dt, 0.0], [0.0, 1.0, 0.0, dt], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
+    )
+    H = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+    g = np.array([dt * dt / 2.0, dt])
+    q_block = (sigma_a * sigma_a) * np.outer(g, g)
+    Q = np.zeros((4, 4))
+    for pos, vel in ((0, 2), (1, 3)):
+        Q[np.ix_([pos, vel], [pos, vel])] = q_block
+    R = (sigma_z * sigma_z) * np.eye(2)
+    return F, Q, H, R
+
+
+def test_model_matrices_have_the_bits_of_the_block_construction():
+    # 87 x 87 scale pairs from the smallest subnormal to COORD_LIMIT, where
+    # sigma^2 underflows to 0, is subnormal, rounds, or nears the overflow.
+    scales = np.geomspace(5e-324, 1e9, 87).tolist()
+    assert scales[0] == 5e-324 and scales[-1] == 1e9 and len(set(scales)) == 87
+    for sigma_a in scales:
+        for sigma_z in scales:
+            model = make_cv_model(sigma_a, sigma_z)
+            matrices = (model.F, model.Q, model.H, model.R)
+            for got, want in zip(matrices, reference_cv_model(sigma_a, sigma_z)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (sigma_a, sigma_z)
+
+
 class TestInitState:
     def test_definition(self):
         state = init_state(10.0, 20.0, p0_pos=10.0, p0_vel=100.0)

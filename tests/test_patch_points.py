@@ -86,12 +86,13 @@ def stacks(shapes, cells):
     """Group the (rows, cols) shapes of consecutive scored frames as `evaluate` stacks them.
 
     A frame joins the current stack while the stack, padded to its largest
-    rows and columns, stays within `cells`; returns the stacks' sizes.
+    rows and columns, stays within `cells`, an empty side counting as one
+    row or column; returns the stacks' sizes.
     """
     sizes, rows, cols = [], 0, 0
     for n, m in shapes:
         rows, cols = max(rows, n), max(cols, m)
-        if sizes and (sizes[-1] + 1) * rows * cols <= cells:
+        if sizes and (sizes[-1] + 1) * max(rows, 1) * max(cols, 1) <= cells:
             sizes[-1] += 1
         else:
             sizes.append(1)
@@ -122,7 +123,8 @@ def test_evaluate_associates_the_frames_it_cannot_screen(monkeypatch, scene):
         fr.frame: [r for r in fr.records if r.status is TrackStatus.CONFIRMED]
         for fr in results
     }
-    scored = [f for f in sorted(confirmed) if gt.at(f) and confirmed[f]]
+    # Every scored frame is stacked, one with no points or no records too.
+    scored = sorted(gt.frames.keys() | confirmed.keys())
     assert any(gt.at(f) and not confirmed[f] for f in confirmed)
     assert any(confirmed[f] and not gt.at(f) for f in confirmed)
 
@@ -132,12 +134,12 @@ def test_evaluate_associates_the_frames_it_cannot_screen(monkeypatch, scene):
     shared = set()
     for f in scored:
         cost = build_cost_matrix(
-            [(x, y) for _, x, y in gt.at(f)], [(r.x, r.y) for r in confirmed[f]]
+            [(x, y) for _, x, y in gt.at(f)], [(r.x, r.y) for r in confirmed.get(f, ())]
         )
         inside = cost.values <= 7.5
         if (inside.sum(axis=0) > 1).any() or (inside.sum(axis=1) > 1).any():
             shared.add(f)
-    sizes = stacks([(len(gt.at(f)), len(confirmed[f])) for f in scored], synth.STACK_CELLS)
+    sizes = stacks([(len(gt.at(f)), len(confirmed.get(f, ()))) for f in scored], synth.STACK_CELLS)
     starts = np.cumsum([0, *sizes[:-1]])
     alone = {scored[start] for start, size in zip(starts, sizes) if size == 1}
     assert shared and len(sizes) < len(scored)
@@ -166,7 +168,7 @@ def test_evaluate_associates_the_frames_it_cannot_screen(monkeypatch, scene):
     assert len(builds) == len(associations)
     for f, cost in zip(sorted(shared | alone), costs):
         expected = build_cost_matrix(
-            [(x, y) for _, x, y in gt.at(f)], [(r.x, r.y) for r in confirmed[f]]
+            [(x, y) for _, x, y in gt.at(f)], [(r.x, r.y) for r in confirmed.get(f, ())]
         )
         assert cost.values.shape == expected.values.shape
         assert cost.values.tobytes() == expected.values.tobytes()
@@ -209,9 +211,8 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
     assert results == expected
 
     tracks_in = [len(fr.records) - len(fr.born) + len(fr.died) for fr in results]
-    associated = sum(
-        1 for fr, n in zip(results, tracks_in) if n and stream.get(fr.frame)
-    )
+    dets_in = [len(stream.get(fr.frame, ())) for fr in results]
+    associated = sum(1 for n, m in zip(tracks_in, dets_in) if n and m)
     updates_per_frame = [
         sum(
             1
@@ -221,8 +222,13 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
         for fr in results
     ]
     updates = sum(updates_per_frame)
-    assert associated > 0 and updates > 0
-    assert len(calls["build_cost_matrix"]) == len(calls["associate"]) == associated
+    # Some steps have tracks and detections, some lack one side; all take
+    # one path, with one call of each per step.
+    assert 0 < associated < len(results) and updates > 0
+    for name in ("predict", "build_cost_matrix", "associate", "update"):
+        assert len(calls[name]) == len(results), name
+    shapes = [cost.values.shape for cost, _, _ in calls["associate"]]
+    assert shapes == list(zip(tracks_in, dets_in))
     # `solve` and `gate` run once per frame with an in-gate entry (within its
     # track's chi-square radius) that is not the only one of both its row
     # and its column, on the constant-filled block alone.
@@ -237,12 +243,11 @@ def test_step_reaches_each_patched_name(monkeypatch, scene):
     assert len(calls["solve"]) == len(calls["gate"]) == blocked
     for (block,) in calls["solve"]:
         assert np.all((block.values <= gate_px) | (block.values == gate_px + 1))
-    # One stacked call per frame that has rows to filter, covering them all.
-    assert len(calls["predict"]) == sum(1 for n in tracks_in if n)
+    # One stacked call per step, covering every row it filters.
+    assert [len(args[0].x) for args in calls["predict"]] == tracks_in
     assert sum(len(args[0].x) for args in calls["predict"]) == sum(tracks_in)
-    updated = [n for n in updates_per_frame if n]
-    assert len(calls["update"]) == len(updated)
-    assert sum(len(args[0].x) for args in calls["update"]) == sum(updated) == updates
+    assert [len(args[0].x) for args in calls["update"]] == updates_per_frame
+    assert sum(len(args[0].x) for args in calls["update"]) == updates
     assert len(calls["init_state"]) == sum(len(fr.born) for fr in results)
 
 

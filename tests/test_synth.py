@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pointtrack import assignment
+from pointtrack import assignment, synth
 from pointtrack import tracker as tracker_module
 from pointtrack.errors import AlignmentError, ParamError, SpecError, UserError
 from pointtrack.io import (
@@ -744,6 +744,29 @@ def test_stacked_positions_are_measured_as_doubles(kind, offset, radius):
     ]
     kwargs = dict(match_radius=radius, include_tentative=False)
     assert evaluate(results, gt, **kwargs) == frame_by_frame_evaluate(results, gt, **kwargs)
+
+
+def test_frames_with_no_records_make_bounded_stacks(monkeypatch):
+    # Ground truth alone: one 1,000-point frame, then 2,000 one-point frames.
+    # Every frame has an empty side, so a budget of rows * cols would put all
+    # of them in one stack padded to 2,001 x 1,000 x 0; an empty side counts
+    # as one row or column, and the stack stays within STACK_CELLS.
+    frames = {1: [(i, float(i), 0.0) for i in range(1, 1001)]}
+    frames.update({f: [(1, 0.0, float(f))] for f in range(2, 2002)})
+    gt = GroundTruth(frames=frames)
+    shapes = []
+    real_distances = synth.distances
+
+    def distances(rows, cols):
+        shapes.append((rows.shape, cols.shape))
+        return real_distances(rows, cols)
+
+    monkeypatch.setattr(synth, "distances", distances)
+    kwargs = dict(match_radius=10.0, include_tentative=False)
+    assert evaluate([], gt, **kwargs) == frame_by_frame_evaluate([], gt, **kwargs)
+    assert shapes
+    for (frames_in, n_rows, _), (_, n_cols, _) in shapes:
+        assert frames_in * max(n_rows, 1) * max(n_cols, 1) <= STACK_CELLS
 
 
 # Six targets crossing near the centre, with misses and clutter: some frames

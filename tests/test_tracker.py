@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from pointtrack import kfilter
 from pointtrack import tracker as tracker_module
 from pointtrack.assignment import EPS, CostMatrix, solve
-from pointtrack.errors import EmptyError, NumericalError, OrderError, ParamError, UserError
+from pointtrack.errors import NumericalError, OrderError, ParamError, UserError
 from pointtrack.io import write_tracks
 from pointtrack.tracker import (
     CHI2_GATE,
@@ -80,11 +80,22 @@ class TestBuildCostMatrix:
         cost = build_cost_matrix([(100.0, 0.0), (0.0, 0.0)], [(0.0, 0.0)])
         assert cost.values[:, 0].tolist() == [100.0, 0.0]  # the far point stays first
 
-    def test_empty_sides_rejected(self):
-        with pytest.raises(EmptyError):
-            build_cost_matrix([], [det(1, 0, 0)])
-        with pytest.raises(EmptyError):
-            build_cost_matrix([(1, 0.0, 0.0)], [])
+    @pytest.mark.parametrize(
+        "rows, cols, shape",
+        [
+            ([], [(0.0, 0.0)], (0, 1)),
+            ([(0.0, 0.0)], [], (1, 0)),
+            ([], [], (0, 0)),
+            (np.empty((0, 2)), np.array([[1.0, 2.0], [3.0, 4.0]]), (0, 2)),
+            (np.array([[1.0, 2.0], [3.0, 4.0]])[:, :2], np.empty((0, 2)), (2, 0)),
+        ],
+    )
+    def test_empty_side_gives_a_cost_with_no_pair(self, rows, cols, shape):
+        cost = build_cost_matrix(rows, cols)
+        assert cost.values.shape == shape
+        assert cost.values.dtype == float
+        assert associate(cost, 50.0) == {}
+        assert associate(cost, 50.0, np.full(shape[0], 10.0)) == {}
 
     @settings(max_examples=300)
     @given(rows=points, cols=points, form=st.sampled_from(["array", "list", "view"]))
