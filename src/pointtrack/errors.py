@@ -10,7 +10,8 @@ these rules, stated here once:
 * ``is_integer``: an int or numpy integer, never a bool;
 * ``is_number``: a real number (an int, a float or a numpy number of
   either kind), never a bool;
-* ``check_integer``: such an integer, at least a given bound;
+* ``check_integer``: such an integer, at least a given bound and at most
+  another;
 * ``check_number``: a real number that is not a bool, finite, in a closed
   or half-open interval;
 * ``check_pair``: a pair of values that each pass ``check_number`` (a
@@ -109,15 +110,18 @@ def is_number(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def check_integer(error: type[UserError], name: str, value: object, low: float = -math.inf) -> int:
-    """`value` as an int when it is an integer (`is_integer`) >= `low`; else raise `error`.
+def check_integer(
+    error: type[UserError], name: str, value: object, low: float = -math.inf, high: float = math.inf
+) -> int:
+    """`value` as an int when it is an integer (`is_integer`) in [low, high]; else raise `error`.
 
-    The message names `name` and the value: ``name must be an integer >= low,
-    got value``, without the bound when `low` is -inf.
+    The message names `name` and the value: ``name must be an integer in
+    [low, high], got value``, or ``>= low`` in place of the range when
+    `high` is inf, and without a bound when both are infinite.
     """
-    if is_integer(value) and value >= low:  # type: ignore[operator]
+    if is_integer(value) and low <= value <= high:  # type: ignore[operator]
         return int(value)  # type: ignore[call-overload]
-    bound = f" >= {low}" if low > -math.inf else ""
+    bound = f" in [{low}, {high}]" if high < math.inf else f" >= {low}" if low > -math.inf else ""
     raise error(f"{name} must be an integer{bound}, got {value!r}")
 
 

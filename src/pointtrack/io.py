@@ -27,22 +27,31 @@ frame on anything else (``tracker.check_detections``,
 ``tracker.records_by_frame``, which checks each frame with
 ``tracker.check_records``), and a ``GroundTruth`` checks itself when built.
 
-Each data format is one converter and one table of the fields after the
-frame, each named with its reader. A parser converts the whole file first:
-each non-blank line is split on commas, its fields go through int(),
-float() and the code tables, and the records, grouped by frame, go to the
-check the library already applies to that record type: each frame's to
-``tracker.check_detections`` or ``tracker.check_records`` (``_each_frame``,
-which keeps what the check returns, so track records come back sorted by
-id), the whole file's to the ``GroundTruth`` constructor. All three test
-the frame by one rule, ``tracker.check_frame``. The converters test no
-range and no id; the checks do. If a line does not convert (a field int()
-or float() cannot strip, U+001C to U+001F, which ``str.strip()`` strips,
-included) or the check raises, the whole text is read again line by line
-through the table (``_located``), which skips blank lines and raises the
-ParseError naming the first faulty line and its first fault, or converts
-each stripped line to the same records. The writers format each line with one ``%`` string,
-whose ``%s`` and ``%.6f`` give the bytes of ``{}`` and ``{:.6f}``.
+Each data format is one table of the fields after the frame: each field's
+name, its located reader and its bulk kind (a dtype, or a code's table of
+members by letter). A parser converts the whole file with one
+``np.loadtxt`` call (`_bulk`): frame and ids as int64, coordinates as
+float64, codes as "U2", so a code token that is not exactly a table key
+(padded, or doubled: "U1" would cut "CC" to "C") misses the table. The
+records are built from the columns with a C-level ``tuple.__new__``,
+grouped by frame (one stable sort first when frames are out of order) and
+handed to the check the library already applies to that record type: each
+frame's to ``tracker.check_detections`` or ``tracker.check_records``
+(``_each_frame``, which keeps what the check returns, so track records
+come back sorted by id), the whole file's to the ``GroundTruth``
+constructor. All three test the frame by one rule,
+``tracker.check_frame``. The bulk read tests no range and no id; the
+checks do. If the bulk read fails (a token ``loadtxt`` rejects, such as
+``1_0`` or an integer beyond int64, which ``int()`` reads; a code off the
+table; a line with another field count than the first; a NUL, which numpy
+would drop from the end of a code) or the check raises, the whole text is
+read again line by line through the table (``_located``), which skips
+blank lines and raises the ParseError naming the first faulty line and
+its first fault, or returns each line's values, which build the same
+records. A text with no data line reads as no record without either read
+(``loadtxt`` would warn on it). The writers format each line with one
+``%`` string, whose ``%s`` and ``%.6f`` give the bytes of ``{}`` and
+``{:.6f}``.
 
 Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
     duplicate keys are errors, missing keys take the documented defaults.
@@ -56,11 +65,12 @@ Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
+
+import numpy as np
 
 from .errors import ParamError, ParseError, SpecError, UserError, check_kind, check_pair
 from .synth import GroundTruth, ScenarioSpec, TargetPath
@@ -118,21 +128,23 @@ def _parse_float(token: str, line_no: int, what: str) -> float:
     return value
 
 
-def _read_coord(token: str, line_no: int, what: str, frame: int, seen: dict) -> None:
+def _read_coord(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
     value = _parse_float(token, line_no, what)
     if abs(value) > COORD_LIMIT:
         raise ParseError(
             f"{what} must lie within +-{COORD_LIMIT:g}, got {value:g}", line=line_no
         )
+    return value
 
 
-def _read_confidence(token: str, line_no: int, what: str, frame: int, seen: dict) -> None:
+def _read_confidence(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
     value = _parse_float(token, line_no, what)
     if not 0.0 <= value <= 1.0:
         raise ParseError(f"{what} must lie in [0, 1], got {value}", line=line_no)
+    return value
 
 
-def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> None:
+def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> int:
     """An id >= 1 not yet read in its frame; it is added to ``seen``."""
     value = _parse_int(token, line_no, what)
     if value < 1:
@@ -141,86 +153,119 @@ def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> Non
     if value in ids:
         raise ParseError(f"{what} {value} appears twice in frame {frame}", line=line_no)
     ids.add(value)
+    return value
 
 
 def _read_code(by_code: dict, token: str, line_no: int, what: str, frame: int, seen: dict):
-    """A one-letter code, one of the keys of ``by_code``."""
+    """The member of ``by_code`` whose one-letter code the stripped token is."""
     if token.strip() not in by_code:
         raise ParseError(f"{what} must be {' or '.join(by_code)}, got {token!r}", line=line_no)
+    return by_code[token.strip()]
 
 
-def _located(
-    raw: str, line_no: int, fields: tuple, seen: dict[int, set[int]], optional: int = 0
-) -> list[str] | None:
-    """Check one data line field by field: None when it is blank, else its stripped fields.
+def _located(raw: str, line_no: int, fields: tuple, seen: dict, defaults: tuple) -> list | None:
+    """Read one data line field by field: None when it is blank, else its values, frame first.
 
     ``fields`` is the format's table: the fields after the frame in file
-    order, as (name, reader) pairs, of which a line may leave out the last
-    ``optional``. A reader takes the field's token, the line number, the
-    name, the frame and ``seen`` (the ids read so far, by frame), and raises
-    the ParseError naming the line and the field's fault. So the first
-    fault of the line is the one raised.
+    order, as (name, reader, kind) triples, of which a line may leave out
+    the last ``len(defaults)``, whose values are then ``defaults``. A reader
+    takes the field's token, the line number, the name, the frame and
+    ``seen`` (the ids read so far, by frame), and returns the value or
+    raises the ParseError naming the line and the field's fault. So the
+    first fault of the line is the one raised.
     """
     line = raw.strip()
     if not line:
         return None
     tokens = line.split(",")
-    names = ["frame", *(name for name, _ in fields)]
-    required = len(names) - optional
+    names = ["frame", *(name for name, _, _ in fields)]
+    required = len(names) - len(defaults)
     if not required <= len(tokens) <= len(names):
         layout = ",".join(names[:required]) + "".join(f"[,{n}]" for n in names[required:])
         raise ParseError(f"expected {layout}, got {len(tokens)} fields", line=line_no)
     frame = _parse_int(tokens[0], line_no, "frame")
     if frame < 1:
         raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-    for (name, read), token in zip(fields, tokens[1:]):
-        read(token, line_no, name, frame, seen)
-    return [token.strip() for token in tokens]
+    reads = zip(fields, tokens[1:])
+    values = [read(token, line_no, name, frame, seen) for (name, read, _), token in reads]
+    return [frame, *values, *defaults[len(tokens) - required :]]
 
 
-def _read_lines(text: str, convert: Callable, fields: tuple, check: Callable, optional: int = 0):
+def _bulk(text: str, fields: tuple, defaults: tuple) -> tuple[np.ndarray, list[list]]:
+    """Convert the whole file with one `np.loadtxt` call: its frames and its columns, frame first.
+
+    The first line's field count picks the layout. A code field (a ``kind``
+    that is a dict) is read as "U2", so a token that is not exactly one of
+    its keys, padded or doubled, misses the dict.
+
+    Raises:
+        ValueError: when a token does not convert, a line has another field
+            count or the first too few, or the text holds a NUL, which numpy
+            drops from the end of a string ("C\\0" would read as "C").
+        KeyError: when a code is not one of its field's keys.
+    """
+    n_tokens = text.lstrip().partition("\n")[0].count(",") + 1
+    required = len(fields) + 1 - len(defaults)
+    if n_tokens < required or "\0" in text:
+        raise ValueError("not a bulk-readable file")
+    used = fields[: n_tokens - 1]
+    dtype = [("frame", "i8")] + [(n, "U2" if type(k) is dict else k) for n, _, k in used]
+    table = np.loadtxt(text.split("\n"), dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    columns = [table["frame"].tolist()]
+    for name, _, kind in used:
+        values = table[name].tolist()
+        columns.append(list(map(kind.__getitem__, values)) if type(kind) is dict else values)
+    columns += [[value] * len(table) for value in defaults[n_tokens - required :]]
+    return table["frame"], columns
+
+
+def _by_frame(frames: np.ndarray, records: list) -> dict[int, list]:
+    """``records`` grouped by their ``frames``, frames ascending, file order within a frame."""
+    if (frames[1:] < frames[:-1]).any():  # out of order: one stable sort
+        order = frames.argsort(kind="stable")
+        frames, records = frames[order], [records[i] for i in order.tolist()]
+    starts = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist()]
+    ends = [*starts[1:], len(records)]
+    return {frame: records[a:b] for frame, a, b in zip(frames[starts].tolist(), starts, ends)}
+
+
+def _read_lines(
+    text: str, fields: tuple, record: type, check: Callable, first: int = 1, defaults: tuple = ()
+):
     """Read a data file: its records grouped by frame, frames ascending, as ``check`` returns them.
 
-    The whole file is converted first: ``convert(tokens)`` turns a
-    non-blank line split on commas into (frame, record), or raises
-    ValueError, IndexError or KeyError when a field count, a number or a
-    code does not convert. ``check(grouped)`` is the library's check of
-    the record type; it returns the parsed value or raises a UserError. On
-    any of these failures the whole text is read again line by line:
-    `_located` skips a blank line, raises the ParseError naming the first
-    faulty line, or returns its stripped fields, which ``convert`` then
-    converts.
+    Each record is ``record`` built from the row's values from column
+    ``first`` on (0 to keep the frame), with one C-level ``tuple.__new__``
+    per row. The whole file is converted first by `_bulk`. ``check(grouped)``
+    is the library's check of the record type; it returns the parsed value
+    or raises a UserError. On any failure the whole text is read again line
+    by line: `_located` skips a blank line, raises the ParseError naming the
+    first faulty line, or returns its values, which build the same records.
 
     Raises:
         UserError: when ``text`` is not a str, and as ``check``.
         ParseError: naming the first faulty line, as `_located`.
     """
     check_kind(UserError, "text", text, str)
-    grouped: defaultdict[int, list] = defaultdict(list)
+    if not text or text.isspace():  # no data line: nothing to convert or group
+        return check({})
+    make = partial(tuple.__new__, record)
     try:
-        for raw in text.split("\n"):
-            if raw and not raw.isspace():
-                frame, record = convert(raw.split(","))
-                grouped[frame].append(record)
-        return check(dict(sorted(grouped.items())))
-    except (ValueError, IndexError, KeyError, UserError):
+        frames, columns = _bulk(text, fields, defaults)
+        return check(_by_frame(frames, list(map(make, zip(*columns[first:])))))
+    except (ValueError, KeyError, UserError):
         pass
-    grouped, seen = defaultdict(list), {}
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        tokens = _located(raw, line_no, fields, seen, optional)
-        if tokens is not None:
-            frame, record = convert(tokens)
-            grouped[frame].append(record)
-    return check(dict(sorted(grouped.items())))
+    seen: dict[int, set[int]] = {}
+    lines = enumerate(text.split("\n"), start=1)
+    rows = [v for n, raw in lines if (v := _located(raw, n, fields, seen, defaults)) is not None]
+    # Object frames: a frame the located read accepts may not fit an int64.
+    frames = np.array([row[0] for row in rows], dtype=object)
+    return check(_by_frame(frames, [make(row[first:]) for row in rows]))
 
 
-_DETECTION_FIELDS = (("x", _read_coord), ("y", _read_coord), ("confidence", _read_confidence))
-
-
-def _fast_detection(tokens: list[str]) -> tuple[int, Detection]:
-    frame, x, y, confidence = tokens if len(tokens) == 4 else (*tokens, 1.0)
-    frame = int(frame)
-    return frame, Detection(frame, float(x), float(y), float(confidence))
+_DETECTION_FIELDS = (
+    ("x", _read_coord, "f8"), ("y", _read_coord, "f8"), ("confidence", _read_confidence, "f8")
+)
 
 
 def _each_frame(check: Callable, grouped: dict[int, list]) -> dict[int, list]:
@@ -231,7 +276,7 @@ def _each_frame(check: Callable, grouped: dict[int, list]) -> dict[int, list]:
 def parse_detections(text: str) -> dict[int, list[Detection]]:
     """Parse a detection file into a frame-indexed map, frames ascending."""
     check = partial(_each_frame, check_detections)
-    return _read_lines(text, _fast_detection, _DETECTION_FIELDS, check, optional=1)
+    return _read_lines(text, _DETECTION_FIELDS, Detection, check, first=0, defaults=(1.0,))
 
 
 def write_detections(detections: Iterable[Detection]) -> str:
@@ -261,27 +306,19 @@ def write_detections(detections: Iterable[Detection]) -> str:
 _STATUS_BY_CHAR = {s.value: s for s in TrackStatus}
 _SOURCE_BY_CHAR = {s.value: s for s in RecordSource}
 _TRACK_FIELDS = (
-    ("track_id", _read_id),
-    ("x", _read_coord),
-    ("y", _read_coord),
-    ("vx", _read_coord),
-    ("vy", _read_coord),
-    ("status", partial(_read_code, _STATUS_BY_CHAR)),
-    ("source", partial(_read_code, _SOURCE_BY_CHAR)),
+    ("track_id", _read_id, "i8"),
+    ("x", _read_coord, "f8"),
+    ("y", _read_coord, "f8"),
+    ("vx", _read_coord, "f8"),
+    ("vy", _read_coord, "f8"),
+    ("status", partial(_read_code, _STATUS_BY_CHAR), _STATUS_BY_CHAR),
+    ("source", partial(_read_code, _SOURCE_BY_CHAR), _SOURCE_BY_CHAR),
 )
-
-
-def _fast_track(tokens: list[str]) -> tuple[int, TrackRecord]:
-    frame, track_id, x, y, vx, vy, status, source = tokens
-    status, source = _STATUS_BY_CHAR[status.strip()], _SOURCE_BY_CHAR[source.strip()]
-    return int(frame), TrackRecord(
-        int(track_id), float(x), float(y), float(vx), float(vy), status, source
-    )
 
 
 def parse_tracks(text: str) -> dict[int, list[TrackRecord]]:
     """Parse a track file into a frame-indexed record map, frames then track ids ascending."""
-    return _read_lines(text, _fast_track, _TRACK_FIELDS, partial(_each_frame, check_records))
+    return _read_lines(text, _TRACK_FIELDS, TrackRecord, partial(_each_frame, check_records))
 
 
 def write_tracks(results: Sequence[FrameResult]) -> str:
@@ -308,17 +345,14 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
     return "".join(lines)
 
 
-_GROUND_TRUTH_FIELDS = (("gt_id", _read_id), ("x", _read_coord), ("y", _read_coord))
-
-
-def _fast_ground_truth(tokens: list[str]) -> tuple[int, tuple[int, float, float]]:
-    frame, gt_id, x, y = tokens
-    return int(frame), (int(gt_id), float(x), float(y))
+_GROUND_TRUTH_FIELDS = (
+    ("gt_id", _read_id, "i8"), ("x", _read_coord, "f8"), ("y", _read_coord, "f8")
+)
 
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth file (``frame,gt_id,x,y``)."""
-    return _read_lines(text, _fast_ground_truth, _GROUND_TRUTH_FIELDS, GroundTruth)
+    return _read_lines(text, _GROUND_TRUTH_FIELDS, tuple, GroundTruth)
 
 
 def write_ground_truth(gt: GroundTruth) -> str:

@@ -36,7 +36,7 @@ from pointtrack.io import (
     write_ground_truth,
     write_tracks,
 )
-from pointtrack.synth import GroundTruth, ScenarioSpec, evaluate, generate
+from pointtrack.synth import MAX_FRAMES, GroundTruth, ScenarioSpec, evaluate, generate
 from pointtrack.tracker import (
     Detection,
     FrameResult,
@@ -226,6 +226,14 @@ class TestSilentValuesRejected:
             ScenarioSpec(n_frames=5, targets=(target,))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("n_frames", [MAX_FRAMES + 1, 10**30])
+    def test_n_frames_beyond_the_bound(self, n_frames):
+        # Accepted, 10**30 frames would keep `generate` from ever returning.
+        with pytest.raises(SpecError) as info:
+            ScenarioSpec(n_frames=n_frames)
+        assert str(info.value) == f"n_frames must be an integer in [1, 1000000], got {n_frames}"
+        assert ScenarioSpec(n_frames=MAX_FRAMES).n_frames == MAX_FRAMES
+
     @pytest.mark.parametrize(
         "target",
         [(1, 3, 0.0, 0.0, 1.0), (1, 3, 0.0, 0.0, 1.0, 1.0, 0.0), 5, None, "12345"],
@@ -290,7 +298,7 @@ class TestSilentValuesRejected:
         "fields, message",
         [
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-            ({"n_frames": 10.0}, "n_frames must be an integer >= 1, got 10.0"),
+            ({"n_frames": 10.0}, "n_frames must be an integer in [1, 1000000], got 10.0"),
             ({"noise_sigma": "1"}, "noise_sigma must be finite and nonnegative, got '1'"),
             ({"miss_prob": None}, "miss_prob must lie in [0, 1], got None"),
         ],

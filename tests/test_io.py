@@ -1,6 +1,7 @@
 """File format tests: parsing, serialization, round-trips, fuzz totality."""
 
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pointtrack.io as pointtrack_io
 from pointtrack.errors import AlignmentError, ParseError, UserError
 from pointtrack.io import (
     PALETTE,
@@ -22,7 +24,7 @@ from pointtrack.io import (
     write_ground_truth,
     write_tracks,
 )
-from pointtrack.synth import GroundTruth
+from pointtrack.synth import GroundTruth, ScenarioSpec, TargetPath, generate
 from pointtrack.tracker import (
     COORD_LIMIT,
     Detection,
@@ -32,6 +34,7 @@ from pointtrack.tracker import (
     TrackStatus,
     group_by_frame,
     records_by_frame,
+    run,
 )
 
 coords = st.floats(-10_000, 10_000, allow_nan=False, allow_infinity=False, width=64)
@@ -682,6 +685,86 @@ class TestOnePassParsers:
                     assert_parses_like_reference(parse, reference, text)
         for text in _FALLBACK_ORDER[kind]:
             assert_parses_like_reference(parse, reference, text)
+
+
+@st.composite
+def many_line_text(draw, kind):
+    """1-60 valid lines of one layout, frames 1-5 in any order, ids unique per frame."""
+    layout = list(_VALID[kind])
+    if kind == "detections" and draw(st.booleans()):
+        layout.pop()  # every line in the three-field form
+    lines, ids = [], {}
+    for _ in range(draw(st.integers(1, 60))):
+        frame = draw(st.integers(1, 5))
+        fields = [str(frame)] + [draw(field) for field in layout[1:]]
+        if kind != "detections":  # the id field: the next unused one of the frame
+            ids[frame] = ids.get(frame, 0) + 1
+            fields[1] = str(ids[frame])
+        lines.append(",".join(fields))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def small_scene_files():
+    """The detection, track and ground-truth files of a small cluttered scene, as written."""
+    targets = (TargetPath(1, 12, 10.0, 10.0, 2.0, 1.0), TargetPath(3, 15, 90.0, 40.0, -1.5, 0.5))
+    spec = ScenarioSpec(n_frames=15, targets=targets, noise_sigma=0.5, clutter_rate=1.0, seed=7)
+    gt, detections = generate(spec)
+    tracks = write_tracks(run(group_by_frame(detections)))
+    return {
+        "detections": write_detections(detections),
+        "tracks": tracks,
+        "ground_truth": write_ground_truth(gt),
+    }
+
+
+class TestBulkRead:
+    """A parser converts a whole file at once; only a failure reads it again line by line."""
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_many_shuffled_lines_match_the_reference(self, kind, parse, reference, data):
+        text = data.draw(many_line_text(kind), label="text")
+        assert_parses_like_reference(parse, reference, text)
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    def test_crlf_file_parses_as_its_lf_twin(self, kind, parse, reference):
+        text = small_scene_files()[kind]
+        parsed = parse(text.replace("\n", "\r\n"))
+        assert parsed == parse(text)
+        assert repr(parsed) == repr(parse(text))
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    @pytest.mark.parametrize("text", ["", "\n", " \n\t\n"])
+    def test_empty_input_warns_nothing(self, kind, parse, reference, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parsed = parse(text)
+        assert parsed == ({} if kind != "ground_truth" else GroundTruth({}))
+
+    @pytest.mark.parametrize("code", ["C\x00", "\x00C", "CC", " C", "C\x0c", "\x1cC", ""])
+    def test_code_that_is_not_exactly_a_letter_reads_as_the_reference(self, code):
+        # Read as "U2", "CC" misses the code table; numpy drops trailing
+        # NULs from a string, so "C\0" must not reach the bulk read at all.
+        for text in (f"1,1,0,0,0,0,{code},M\n", f"1,1,0,0,0,0,T,{code.replace('C', 'P')}\n"):
+            assert_parses_like_reference(parse_tracks, reference_tracks, text)
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    def test_written_files_take_the_bulk_path(self, kind, parse, reference, monkeypatch):
+        # Without this, a bulk read that always failed would still parse
+        # every file correctly, through the line-by-line fallback.
+        texts = [small_scene_files()[kind]]
+        if kind == "detections":  # `write_detections` always writes four fields
+            texts.append("3,1.5,2.5\n1,-4,0.25\n3,1e3,7\n2,0,0\n")
+        expected = [reference(text) for text in texts]
+
+        def no_fallback(*args):
+            raise AssertionError("the file was read line by line")
+
+        monkeypatch.setattr(pointtrack_io, "_located", no_fallback)
+        for text, want in zip(texts, expected):
+            assert parse(text) == want
+            assert repr(parse(text)) == repr(want)
 
 
 class TestConfig:
