@@ -28,8 +28,8 @@ frame on anything else (``tracker.check_detections``,
 ``tracker.check_records``), and a ``GroundTruth`` checks itself when built.
 
 Each data format is one table of the fields after the frame: each field's
-name, its located reader and its bulk kind (a dtype, or a code's table of
-members by letter). A parser converts the whole file with one
+name and its kind (a dtype, "i8" or "f8", or a code's table of members by
+letter). A parser converts the whole file with one
 ``np.loadtxt`` call (`_bulk`): frame and ids as int64, coordinates as
 float64, codes as "U2", so a code token that is not exactly a table key
 (padded, or doubled: "U1" would cut "CC" to "C") misses the table. The
@@ -40,15 +40,23 @@ frame's to ``tracker.check_detections`` or ``tracker.check_records``
 (``_each_frame``, which keeps what the check returns, so track records
 come back sorted by id), the whole file's to the ``GroundTruth``
 constructor. All three test the frame by one rule,
-``tracker.check_frame``. The bulk read tests no range and no id; the
-checks do. If the bulk read fails (a token ``loadtxt`` rejects, such as
-``1_0`` or an integer beyond int64, which ``int()`` reads; a code off the
-table; a line with another field count than the first; a NUL, which numpy
+``tracker.check_frame``. The readers only convert: every range, id and
+finiteness rule is the checks'. If the bulk read fails (a token
+``loadtxt`` rejects, such as ``1_0`` or an integer beyond int64, which
+``int()`` reads; a code off the table; a line with another field count
+than the first, a whitespace-only line among them; a NUL, which numpy
 would drop from the end of a code) or the check raises, the whole text is
-read again line by line through the table (``_located``), which skips
-blank lines and raises the ParseError naming the first faulty line and
-its first fault, or returns each line's values, which build the same
-records. A text with no data line reads as no record without either read
+read again line by line (``_located``), which skips blank lines and
+converts each token by its kind: ``int()``, ``float()`` or the code table.
+A line with another field count or a token that does not convert raises
+the ParseError naming the first such line; else the values build the same
+records, which go to the same check. If it raises, `_locate` names the
+line: it checks the frames one at a time, ascending, and in the first that
+fails bisects for the shortest failing prefix of its records in file
+order. The ParseError carries the check's own message and the line of
+that prefix's last record. So a conversion fault anywhere in a file is
+reported before any rule fault, and rule faults by frame, then by line.
+A text with no data line reads as no record without either read
 (``loadtxt`` would warn on it). The writers format each line with one
 ``%`` string, whose ``%s`` and ``%.6f`` give the bytes of ``{}`` and
 ``{:.6f}``.
@@ -65,6 +73,7 @@ Config file -- ``key = value`` lines, ``#`` starts a comment, unknown or
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import partial
 from itertools import groupby
 from operator import itemgetter
@@ -118,77 +127,58 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise ParseError(f"{what} is not an integer: {token!r}", line=line_no) from None
 
 
-def _parse_float(token: str, line_no: int, what: str) -> float:
+def _to_float(token: str, line_no: int, what: str) -> float:
     try:
-        value = float(token.strip())
+        return float(token.strip())
     except ValueError:
         raise ParseError(f"{what} is not a number: {token!r}", line=line_no) from None
+
+
+def _parse_float(token: str, line_no: int, what: str) -> float:
+    value = _to_float(token, line_no, what)
     if not math.isfinite(value):
         raise ParseError(f"{what} must be finite: {token!r}", line=line_no)
     return value
 
 
-def _read_coord(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
-    value = _parse_float(token, line_no, what)
-    if abs(value) > COORD_LIMIT:
-        raise ParseError(
-            f"{what} must lie within +-{COORD_LIMIT:g}, got {value:g}", line=line_no
-        )
-    return value
+def _convert(token: str, line_no: int, what: str, kind) -> object:
+    """A data field's value, read by its kind: ``"i8"`` an int, ``"f8"`` a float, a dict its member.
+
+    Tests no rule: an int may be below 1, a float infinite or NaN; the
+    record checks decide.
+    """
+    if kind == "i8":
+        return _parse_int(token, line_no, what)
+    if kind == "f8":
+        return _to_float(token, line_no, what)
+    try:
+        return kind[token.strip()]
+    except KeyError:
+        fault = f"{what} must be {' or '.join(kind)}, got {token!r}"
+        raise ParseError(fault, line=line_no) from None
 
 
-def _read_confidence(token: str, line_no: int, what: str, frame: int, seen: dict) -> float:
-    value = _parse_float(token, line_no, what)
-    if not 0.0 <= value <= 1.0:
-        raise ParseError(f"{what} must lie in [0, 1], got {value}", line=line_no)
-    return value
-
-
-def _read_id(token: str, line_no: int, what: str, frame: int, seen: dict) -> int:
-    """An id >= 1 not yet read in its frame; it is added to ``seen``."""
-    value = _parse_int(token, line_no, what)
-    if value < 1:
-        raise ParseError(f"{what} must be >= 1, got {value}", line=line_no)
-    ids = seen.setdefault(frame, set())
-    if value in ids:
-        raise ParseError(f"{what} {value} appears twice in frame {frame}", line=line_no)
-    ids.add(value)
-    return value
-
-
-def _read_code(by_code: dict, token: str, line_no: int, what: str, frame: int, seen: dict):
-    """The member of ``by_code`` whose one-letter code the stripped token is."""
-    if token.strip() not in by_code:
-        raise ParseError(f"{what} must be {' or '.join(by_code)}, got {token!r}", line=line_no)
-    return by_code[token.strip()]
-
-
-def _located(raw: str, line_no: int, fields: tuple, seen: dict, defaults: tuple) -> list | None:
-    """Read one data line field by field: None when it is blank, else its values, frame first.
+def _located(raw: str, line_no: int, fields: tuple, defaults: tuple) -> list | None:
+    """Convert one data line: None when it is blank, else its values, frame first.
 
     ``fields`` is the format's table: the fields after the frame in file
-    order, as (name, reader, kind) triples, of which a line may leave out
-    the last ``len(defaults)``, whose values are then ``defaults``. A reader
-    takes the field's token, the line number, the name, the frame and
-    ``seen`` (the ids read so far, by frame), and returns the value or
-    raises the ParseError naming the line and the field's fault. So the
-    first fault of the line is the one raised.
+    order, as (name, kind) pairs, of which a line may leave out the last
+    ``len(defaults)``, whose values are then ``defaults``. A line with
+    another field count, or the first token that does not convert, raises
+    the ParseError naming the line.
     """
     line = raw.strip()
     if not line:
         return None
     tokens = line.split(",")
-    names = ["frame", *(name for name, _, _ in fields)]
-    required = len(names) - len(defaults)
-    if not required <= len(tokens) <= len(names):
+    fields = (("frame", "i8"), *fields)
+    required = len(fields) - len(defaults)
+    if not required <= len(tokens) <= len(fields):
+        names = [name for name, _ in fields]
         layout = ",".join(names[:required]) + "".join(f"[,{n}]" for n in names[required:])
         raise ParseError(f"expected {layout}, got {len(tokens)} fields", line=line_no)
-    frame = _parse_int(tokens[0], line_no, "frame")
-    if frame < 1:
-        raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-    reads = zip(fields, tokens[1:])
-    values = [read(token, line_no, name, frame, seen) for (name, read, _), token in reads]
-    return [frame, *values, *defaults[len(tokens) - required :]]
+    values = [_convert(token, line_no, name, kind) for (name, kind), token in zip(fields, tokens)]
+    return [*values, *defaults[len(tokens) - required :]]
 
 
 def _bulk(text: str, fields: tuple, defaults: tuple) -> tuple[np.ndarray, list[list]]:
@@ -200,8 +190,9 @@ def _bulk(text: str, fields: tuple, defaults: tuple) -> tuple[np.ndarray, list[l
 
     Raises:
         ValueError: when a token does not convert, a line has another field
-            count or the first too few, or the text holds a NUL, which numpy
-            drops from the end of a string ("C\\0" would read as "C").
+            count (``loadtxt`` reads a whitespace-only line as one field) or
+            the first too few, or the text holds a NUL, which numpy drops
+            from the end of a string ("C\\0" would read as "C").
         KeyError: when a code is not one of its field's keys.
     """
     n_tokens = text.lstrip().partition("\n")[0].count(",") + 1
@@ -209,10 +200,10 @@ def _bulk(text: str, fields: tuple, defaults: tuple) -> tuple[np.ndarray, list[l
     if n_tokens < required or "\0" in text:
         raise ValueError("not a bulk-readable file")
     used = fields[: n_tokens - 1]
-    dtype = [("frame", "i8")] + [(n, "U2" if type(k) is dict else k) for n, _, k in used]
+    dtype = [("frame", "i8")] + [(n, "U2" if type(k) is dict else k) for n, k in used]
     table = np.loadtxt(text.split("\n"), dtype=dtype, delimiter=",", comments=None, ndmin=1)
     columns = [table["frame"].tolist()]
-    for name, _, kind in used:
+    for name, kind in used:
         values = table[name].tolist()
         columns.append(list(map(kind.__getitem__, values)) if type(kind) is dict else values)
     columns += [[value] * len(table) for value in defaults[n_tokens - required :]]
@@ -229,6 +220,30 @@ def _by_frame(frames: np.ndarray, records: list) -> dict[int, list]:
     return {frame: records[a:b] for frame, a, b in zip(frames[starts].tolist(), starts, ends)}
 
 
+def _locate(check: Callable, grouped: dict[int, list], line_nos: dict[int, list]) -> ParseError:
+    """The first fault ``check`` finds in ``grouped``, as a ParseError naming its line.
+
+    The frames are checked one at a time, ascending; ``check`` tests each
+    frame apart, so one of them fails alone. In the first that fails, a
+    bisection finds the shortest prefix of its records (file order) that
+    fails: a rule that a prefix breaks, every longer prefix breaks too.
+    The error is the check's own message on that prefix, at the line (from
+    ``line_nos``, grouped as ``grouped``) of its last record.
+    """
+
+    def fault(frame: int, records: list) -> UserError | None:
+        try:
+            check({frame: records})
+        except UserError as error:
+            return error
+
+    frame, records = next(item for item in grouped.items() if fault(*item))
+    n = bisect_left(
+        range(len(records) + 1), True, lo=1, key=lambda n: fault(frame, records[:n]) is not None
+    )
+    return ParseError(str(fault(frame, records[:n])), line=line_nos[frame][n - 1])
+
+
 def _read_lines(
     text: str, fields: tuple, record: type, check: Callable, first: int = 1, defaults: tuple = ()
 ):
@@ -240,11 +255,14 @@ def _read_lines(
     is the library's check of the record type; it returns the parsed value
     or raises a UserError. On any failure the whole text is read again line
     by line: `_located` skips a blank line, raises the ParseError naming the
-    first faulty line, or returns its values, which build the same records.
+    first line that does not convert, or returns its values, which build
+    the same records. If ``check`` then raises, `_locate` names the line.
 
     Raises:
-        UserError: when ``text`` is not a str, and as ``check``.
-        ParseError: naming the first faulty line, as `_located`.
+        UserError: when ``text`` is not a str.
+        ParseError: naming the first line that does not convert, as
+            `_located`, or else the line of the check's first fault, as
+            `_locate`.
     """
     check_kind(UserError, "text", text, str)
     if not text or text.isspace():  # no data line: nothing to convert or group
@@ -255,17 +273,18 @@ def _read_lines(
         return check(_by_frame(frames, list(map(make, zip(*columns[first:])))))
     except (ValueError, KeyError, UserError):
         pass
-    seen: dict[int, set[int]] = {}
     lines = enumerate(text.split("\n"), start=1)
-    rows = [v for n, raw in lines if (v := _located(raw, n, fields, seen, defaults)) is not None]
-    # Object frames: a frame the located read accepts may not fit an int64.
-    frames = np.array([row[0] for row in rows], dtype=object)
-    return check(_by_frame(frames, [make(row[first:]) for row in rows]))
+    rows = [(n, v) for n, raw in lines if (v := _located(raw, n, fields, defaults)) is not None]
+    # Object frames: a converted frame may not fit an int64.
+    frames = np.array([values[0] for _, values in rows], dtype=object)
+    grouped = _by_frame(frames, [make(values[first:]) for _, values in rows])
+    try:
+        return check(grouped)
+    except UserError:
+        raise _locate(check, grouped, _by_frame(frames, [n for n, _ in rows])) from None
 
 
-_DETECTION_FIELDS = (
-    ("x", _read_coord, "f8"), ("y", _read_coord, "f8"), ("confidence", _read_confidence, "f8")
-)
+_DETECTION_FIELDS = (("x", "f8"), ("y", "f8"), ("confidence", "f8"))
 
 
 def _each_frame(check: Callable, grouped: dict[int, list]) -> dict[int, list]:
@@ -306,13 +325,13 @@ def write_detections(detections: Iterable[Detection]) -> str:
 _STATUS_BY_CHAR = {s.value: s for s in TrackStatus}
 _SOURCE_BY_CHAR = {s.value: s for s in RecordSource}
 _TRACK_FIELDS = (
-    ("track_id", _read_id, "i8"),
-    ("x", _read_coord, "f8"),
-    ("y", _read_coord, "f8"),
-    ("vx", _read_coord, "f8"),
-    ("vy", _read_coord, "f8"),
-    ("status", partial(_read_code, _STATUS_BY_CHAR), _STATUS_BY_CHAR),
-    ("source", partial(_read_code, _SOURCE_BY_CHAR), _SOURCE_BY_CHAR),
+    ("track_id", "i8"),
+    ("x", "f8"),
+    ("y", "f8"),
+    ("vx", "f8"),
+    ("vy", "f8"),
+    ("status", _STATUS_BY_CHAR),
+    ("source", _SOURCE_BY_CHAR),
 )
 
 
@@ -345,9 +364,7 @@ def write_tracks(results: Sequence[FrameResult]) -> str:
     return "".join(lines)
 
 
-_GROUND_TRUTH_FIELDS = (
-    ("gt_id", _read_id, "i8"), ("x", _read_coord, "f8"), ("y", _read_coord, "f8")
-)
+_GROUND_TRUTH_FIELDS = (("gt_id", "i8"), ("x", "f8"), ("y", "f8"))
 
 
 def parse_ground_truth(text: str) -> GroundTruth:

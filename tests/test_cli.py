@@ -342,6 +342,65 @@ class TestEval:
         assert "matches=1" in capsys.readouterr().out
 
 
+class TestRuleFaults:
+    """A file whose only fault breaks a record rule exits 2 with the file, the line and the rule."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,1,2\n2,3,4,1.5\n", "line 2: frame 2: detection confidence 1.5 must lie in [0, 1]"),
+            (
+                "2,1,2\n1,3,nan\n",
+                "line 2: frame 1: detection at (3.0, nan) must be finite and within +-1e+09",
+            ),
+            ("3,1,2\n0,3,4\n", "line 2: frame 0 must be >= 1"),
+        ],
+    )
+    def test_track_on_a_detection_file(self, tmp_path, capsys, text, message):
+        dets = tmp_path / "dets.csv"
+        dets.write_text(text)
+        assert main(["track", str(dets), str(tmp_path / "out.csv")]) == 2
+        assert capsys.readouterr().err == f"error: {dets}:{message}\n"
+
+    @pytest.mark.parametrize(
+        "tracks_text, gt_text, faulty, message",
+        [
+            (
+                "1,1,0,0,0,0,C,M\n1,2,1e200,0,0,0,C,M\n",
+                "1,1,0,0\n",
+                "tracks",
+                "line 2: frame 1: track 2 at (1e+200, 0.0) must be finite and within +-1e+09",
+            ),
+            (
+                "1,1,0,0,0,0,C,M\n2,0,0,0,0,0,C,M\n",
+                "1,1,0,0\n",
+                "tracks",
+                "line 2: frame 2: track_id must be >= 1, got 0",
+            ),
+            (
+                "1,1,0,0,0,0,C,M\n",
+                "1,1,0,0\n2,1,0,0\n2,1,5,5\n",
+                "gt",
+                "line 3: gt_id 1 appears twice in frame 2",
+            ),
+            (
+                "1,1,0,0,0,0,C,M\n",
+                "1,1,0,0\n1,0,5,5\n",
+                "gt",
+                "line 2: frame 1: gt_id must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_eval_on_a_track_or_ground_truth_file(
+        self, tmp_path, capsys, tracks_text, gt_text, faulty, message
+    ):
+        paths = {"tracks": tmp_path / "tracks.csv", "gt": tmp_path / "gt.csv"}
+        paths["tracks"].write_text(tracks_text)
+        paths["gt"].write_text(gt_text)
+        assert main(["eval", str(paths["tracks"]), str(paths["gt"])]) == 2
+        assert capsys.readouterr().err == f"error: {paths[faulty]}:{message}\n"
+
+
 class TestRender:
     def test_one_file_per_frame(self, tmp_path, scenario_file):
         _, _, tracks = run_pipeline(tmp_path, scenario_file)

@@ -32,6 +32,8 @@ from pointtrack.tracker import (
     RecordSource,
     TrackRecord,
     TrackStatus,
+    check_detections,
+    check_records,
     group_by_frame,
     records_by_frame,
     run,
@@ -113,9 +115,12 @@ class TestParseDetections:
             ("1,1e200,2", 1),
             ("1,1,1\n2,1,-1.5e9", 2),
             ("1,1,1\n2,oops,2", 2),
-            # A fault the conversion passes, then one it does not.
-            ("1,1e200,2\n1,oops,2", 1),
-            ("1,1,2\n1,3,4,1.5\n1,x,2", 2),
+            # A rule fault, then a token that does not convert: the
+            # conversion fault is reported first.
+            ("1,1e200,2\n1,oops,2", 2),
+            ("1,1,2\n1,3,4,1.5\n1,x,2", 3),
+            # Rule faults by frame ascending, then by line.
+            ("2,1,2,1.5\n1,1e200,2", 2),
         ],
     )
     def test_malformed_lines_are_located(self, text, line):
@@ -181,25 +186,29 @@ class TestTrackFile:
         assert lines[1].startswith("1,9,")
 
     @pytest.mark.parametrize(
-        "text",
+        "text, line",
         [
-            "1,1,0,0,0,0,X,M",
-            "1,1,0,0,0,0,D,M",
-            "1,1,0,0,0,0,C,Q",
-            "1,0,0,0,0,0,C,M",
-            "1,1,0,0,0,0,C",
-            "1,1,abc,0,0,0,C,M",
-            "1,1,0,1e200,0,0,C,M",
-            "1,1,0,0,-2e9,0,C,M",
-            "1,1,0,0,0,1e10,C,M",
-            # A fault the conversion passes, then one it does not.
-            "1,1,0,1e200,0,0,C,M\n1,2,0,0,0,0,X,M",
+            ("1,1,0,0,0,0,X,M", 1),
+            ("1,1,0,0,0,0,D,M", 1),
+            ("1,1,0,0,0,0,C,Q", 1),
+            ("1,0,0,0,0,0,C,M", 1),
+            ("1,1,0,0,0,0,C", 1),
+            ("1,1,abc,0,0,0,C,M", 1),
+            ("1,1,0,1e200,0,0,C,M", 1),
+            ("1,1,0,0,-2e9,0,C,M", 1),
+            ("1,1,0,0,0,1e10,C,M", 1),
+            # A rule fault, then a code off its table: the conversion fault
+            # is reported first.
+            ("1,1,0,1e200,0,0,C,M\n1,2,0,0,0,0,X,M", 2),
+            # The check sorts a frame by id; the line is still the first in
+            # file order whose records fail.
+            ("1,3,0,0,0,0,C,M\n1,2,0,1e200,0,0,C,M\n1,1,nan,0,0,0,C,M", 2),
         ],
     )
-    def test_malformed_records_located(self, text):
+    def test_malformed_records_located(self, text, line):
         with pytest.raises(ParseError) as info:
             parse_tracks(text)
-        assert info.value.line == 1
+        assert info.value.line == line
 
     @settings(max_examples=100, deadline=None)
     @given(frame_results())
@@ -442,11 +451,19 @@ class TestGroundTruthFile:
         "text, line, message",
         [
             ("1,1,0,0\n1,1,5,5\n1,-3,9,9", 2, "gt_id 1 appears twice in frame 1"),
-            ("1,1,0,0\n1,2,5,5\n1,-3,9,9", 3, "gt_id must be >= 1, got -3"),
-            ("2,0,0,0", 1, "gt_id must be >= 1, got 0"),
-            # A fault the conversion passes, then one it does not.
-            ("1,1,0,0\n1,1,5,5\n1,x,9,9", 2, "gt_id 1 appears twice in frame 1"),
-            ("1,1,0,1e200\n1,x,0,0", 1, "y must lie within +-1e+09, got 1e+200"),
+            ("1,1,0,0\n1,2,5,5\n1,-3,9,9", 3, "frame 1: gt_id must be >= 1, got -3"),
+            ("2,0,0,0", 1, "frame 2: gt_id must be >= 1, got 0"),
+            # A rule fault, then a token that does not convert: the
+            # conversion fault is reported first.
+            ("1,1,0,0\n1,1,5,5\n1,x,9,9", 3, "gt_id is not an integer: 'x'"),
+            ("1,1,0,1e200\n1,x,0,0", 2, "gt_id is not an integer: 'x'"),
+            (
+                "1,1,0,1e200",
+                1,
+                "frame 1: gt_id 1 at (0.0, 1e+200) must be finite and within +-1e+09",
+            ),
+            # Rule faults by frame ascending, then by line.
+            ("3,0,0,0\n2,1,0,0\n2,1,5,5", 3, "gt_id 1 appears twice in frame 2"),
         ],
     )
     def test_bad_or_repeated_gt_id_located(self, text, line, message):
@@ -460,8 +477,11 @@ class TestGroundTruthFile:
         assert parsed.frames == {1: [(1, 0.0, 0.0)], 2: [(1, 5.0, 5.0), (2, 9.0, 9.0)]}
 
 
-# A reference for the data parsers: every line stripped, split and read one
-# located helper at a time, as the parsers did before their one-pass loop.
+# A reference for the data parsers, written apart from `io` and from the
+# record checks: every line stripped, split and converted one field at a
+# time; then each frame's records, frames ascending and lines in file order
+# within a frame, tested against the format's rules, each fault with the
+# text its check gives it.
 
 
 def _ref_int(token, line, what):
@@ -473,85 +493,126 @@ def _ref_int(token, line, what):
 
 def _ref_float(token, line, what):
     try:
-        value = float(token.strip())
+        return float(token.strip())
     except ValueError:
         raise ParseError(f"{what} is not a number: {token!r}", line=line) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{what} must be finite: {token!r}", line=line)
-    return value
 
 
-def _ref_coord(token, line, what):
-    value = _ref_float(token, line, what)
-    if abs(value) > COORD_LIMIT:
-        raise ParseError(f"{what} must lie within +-{COORD_LIMIT:g}, got {value:g}", line=line)
-    return value
+def _ref_code(token, line, what, enum):
+    codes = [member.value for member in enum]
+    if token.strip() not in codes:
+        raise ParseError(f"{what} must be {' or '.join(codes)}, got {token!r}", line=line)
+    return enum(token.strip())
 
 
-def _ref_id(token, line, what, frame, seen):
-    value = _ref_int(token, line, what)
-    if value < 1:
-        raise ParseError(f"{what} must be >= 1, got {value}", line=line)
-    if value in seen.setdefault(frame, set()):
-        raise ParseError(f"{what} {value} appears twice in frame {frame}", line=line)
-    seen[frame].add(value)
-    return value
+def _ref_convert(text, layout, fields, n_optional=0):
+    """Each data line's number and values, frame first, in file order.
 
-
-def _ref_records(text, layout, field_counts):
+    ``fields`` pairs each name after the frame with its converter; a line
+    may leave out the last ``n_optional`` fields, which convert to None.
+    """
+    rows = []
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
-        fields = line.split(",")
-        if len(fields) not in field_counts:
-            raise ParseError(f"expected {layout}, got {len(fields)} fields", line=line_no)
-        frame = _ref_int(fields[0], line_no, "frame")
-        if frame < 1:
-            raise ParseError(f"frame must be >= 1, got {frame}", line=line_no)
-        yield line_no, frame, fields
+        tokens = line.split(",")
+        if not len(fields) + 1 - n_optional <= len(tokens) <= len(fields) + 1:
+            raise ParseError(f"expected {layout}, got {len(tokens)} fields", line=line_no)
+        values = [_ref_int(tokens[0], line_no, "frame")]
+        for (name, convert), token in zip(fields, tokens[1:]):
+            values.append(convert(token, line_no, name))
+        rows.append((line_no, values + [None] * (len(fields) + 1 - len(tokens))))
+    return rows
+
+
+def _ref_first_fault(rows, fault):
+    """The rows by frame, frames ascending, file order within a frame.
+
+    ``fault(frame, values, seen)`` is a row's first rule fault, or None;
+    ``seen`` holds the ids of the frame's earlier rows.
+    """
+    by_frame = {}
+    for line_no, values in rows:
+        by_frame.setdefault(values[0], []).append((line_no, values))
+    by_frame = dict(sorted(by_frame.items()))
+    for frame, frame_rows in by_frame.items():
+        seen = set()
+        for line_no, values in frame_rows:
+            message = f"frame {frame} must be >= 1" if frame < 1 else fault(frame, values, seen)
+            if message:
+                raise ParseError(message, line=line_no)
+    return {frame: [values for _, values in frame_rows] for frame, frame_rows in by_frame.items()}
+
+
+def _ref_far(frame, what, x, y):
+    if not (abs(x) <= COORD_LIMIT and abs(y) <= COORD_LIMIT):
+        return f"frame {frame}: {what} ({x}, {y}) must be finite and within +-{COORD_LIMIT:g}"
+    return None
+
+
+def _ref_id(frame, name, value, seen):
+    if value < 1:
+        return f"frame {frame}: {name} must be >= 1, got {value}"
+    if value in seen:
+        return f"{name} {value} appears twice in frame {frame}"
+    seen.add(value)
+    return None
 
 
 def reference_detections(text):
-    grouped = {}
-    for line_no, frame, fields in _ref_records(text, "frame,x,y[,confidence]", (3, 4)):
-        x = _ref_coord(fields[1], line_no, "x")
-        y = _ref_coord(fields[2], line_no, "y")
-        confidence = 1.0
-        if len(fields) == 4:
-            confidence = _ref_float(fields[3], line_no, "confidence")
-            if not 0.0 <= confidence <= 1.0:
-                raise ParseError(f"confidence must lie in [0, 1], got {confidence}", line=line_no)
-        grouped.setdefault(frame, []).append(Detection(frame, x, y, confidence))
-    return dict(sorted(grouped.items()))
+    fields = [("x", _ref_float), ("y", _ref_float), ("confidence", _ref_float)]
+    rows = _ref_convert(text, "frame,x,y[,confidence]", fields, n_optional=1)
+
+    def fault(frame, values, seen):
+        _, x, y, confidence = values
+        far = _ref_far(frame, "detection at", x, y)
+        if far or confidence is None or 0.0 <= confidence <= 1.0:
+            return far
+        return f"frame {frame}: detection confidence {confidence} must lie in [0, 1]"
+
+    grouped = _ref_first_fault(rows, fault)
+    return {
+        frame: [Detection(f, x, y, 1.0 if c is None else c) for f, x, y, c in rows]
+        for frame, rows in grouped.items()
+    }
 
 
 def reference_tracks(text):
-    grouped, seen = {}, {}
-    layout = "frame,track_id,x,y,vx,vy,status,source"
-    for line_no, frame, fields in _ref_records(text, layout, (8,)):
-        track_id = _ref_id(fields[1], line_no, "track_id", frame, seen)
-        x, y, vx, vy = (_ref_coord(fields[i], line_no, n) for i, n in enumerate("x y vx vy".split(), 2))
-        status = {s.value: s for s in TrackStatus}.get(fields[6].strip())
-        if status is None:
-            raise ParseError(f"status must be T or C, got {fields[6]!r}", line=line_no)
-        source = {s.value: s for s in RecordSource}.get(fields[7].strip())
-        if source is None:
-            raise ParseError(f"source must be M or P, got {fields[7]!r}", line=line_no)
-        grouped.setdefault(frame, []).append(TrackRecord(track_id, x, y, vx, vy, status, source))
-    for records in grouped.values():
-        records.sort(key=lambda r: r.track_id)
-    return dict(sorted(grouped.items()))
+    fields = [("track_id", _ref_int)] + [(name, _ref_float) for name in ("x", "y", "vx", "vy")]
+    fields += [
+        ("status", lambda t, n, w: _ref_code(t, n, w, TrackStatus)),
+        ("source", lambda t, n, w: _ref_code(t, n, w, RecordSource)),
+    ]
+    rows = _ref_convert(text, "frame,track_id,x,y,vx,vy,status,source", fields)
+
+    def fault(frame, values, seen):
+        _, track_id, x, y, vx, vy, _, _ = values
+        return (
+            _ref_far(frame, f"track {track_id} at", x, y)
+            or _ref_far(frame, f"track {track_id} velocity", vx, vy)
+            or _ref_id(frame, "track_id", track_id, seen)
+        )
+
+    grouped = _ref_first_fault(rows, fault)
+    return {
+        frame: sorted((TrackRecord(*values[1:]) for values in rows), key=lambda r: r.track_id)
+        for frame, rows in grouped.items()
+    }
 
 
 def reference_ground_truth(text):
-    frames, seen = {}, {}
-    for line_no, frame, fields in _ref_records(text, "frame,gt_id,x,y", (4,)):
-        gt_id = _ref_id(fields[1], line_no, "gt_id", frame, seen)
-        x = _ref_coord(fields[2], line_no, "x")
-        y = _ref_coord(fields[3], line_no, "y")
-        frames.setdefault(frame, []).append((gt_id, x, y))
-    return GroundTruth(frames=dict(sorted(frames.items())))
+    fields = [("gt_id", _ref_int), ("x", _ref_float), ("y", _ref_float)]
+    rows = _ref_convert(text, "frame,gt_id,x,y", fields)
+
+    def fault(frame, values, seen):
+        _, gt_id, x, y = values
+        return _ref_id(frame, "gt_id", gt_id, seen) or _ref_far(frame, f"gt_id {gt_id} at", x, y)
+
+    grouped = _ref_first_fault(rows, fault)
+    return GroundTruth(
+        frames={frame: [tuple(values[1:]) for values in rows] for frame, rows in grouped.items()}
+    )
 
 
 # Field tokens: valid ones, and near misses that a parser may accept or must
@@ -589,23 +650,29 @@ _VALID = {
 }
 
 
-# Files read twice: a fault the conversion passes (a range or a repeated id)
-# and then one it does not, whose error must name the first; and a valid
-# file whose one U+001C-padded field only the second, located read strips.
+# Files read twice, whose error or value depends on the order of the reads:
+# a rule fault (a range or a repeated id) and a token that does not convert,
+# whose error must name the second; rule faults in two frames, whose error
+# must name the lower frame's; and a valid file whose one U+001C-padded
+# field only the second, line-by-line read strips.
 _FALLBACK_ORDER = {
     "detections": [
         "1,1e200,2\n1,oops,2\n",
         "1,1,2\n1,1,2,1.5\n1,1,2,x\n",
+        "2,1,2,1.5\n1,nan,2\n",
         "2,1,2\n1,\x1c3.5\x1c,4,0.5\n2,5,6\n",
     ],
     "tracks": [
         "1,1,0,1e200,0,0,C,M\n1,2,0,0,0,0,X,M\n",
         "1,1,0,0,0,0,C,M\n1,1,5,5,0,0,C,M\n1,2,0,0,0,0,C,Q\n",
+        "2,0,0,0,0,0,C,M\n1,1,0,0,0,0,C,M\n1,1,5,5,0,0,C,M\n",
+        "1,3,0,0,0,0,C,M\n1,2,0,1e200,0,0,C,M\n1,1,0,0,inf,0,C,M\n",
         "1,2,0,0,0,0,C,M\n1,1,5,5,\x1c-0.5,0,T,P\n",
     ],
     "ground_truth": [
         "1,1,0,1e200\n1,x,0,0\n",
         "1,1,0,0\n1,1,5,5\n1,2,oops,0\n",
+        "3,1,0,0\n0,1,0,0\n-1,1,0,0\n",
         "1,1,0,0\n1,\x1c2,5,5\n",
     ],
 }
@@ -659,7 +726,7 @@ def assert_parses_like_reference(parse, reference, text):
 
 
 class TestOnePassParsers:
-    """Each data parser reads exactly what the located helpers read, errors included."""
+    """Each data parser reads exactly what the reference reads, errors included."""
 
     @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
     @settings(max_examples=300, deadline=None)
@@ -765,6 +832,93 @@ class TestBulkRead:
         for text, want in zip(texts, expected):
             assert parse(text) == want
             assert repr(parse(text)) == repr(want)
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    @pytest.mark.parametrize("blank", ["  ", "\t", " \r"])
+    @pytest.mark.parametrize("where", ["start", "middle", "end"])
+    def test_whitespace_only_line_holds_no_record(self, kind, parse, reference, blank, where):
+        # loadtxt reads a whitespace-only line as a one-field row and fails,
+        # so such a file is read line by line, which skips the line.
+        text = small_scene_files()[kind]
+        expected = parse(text)
+        lines = text.splitlines(keepends=True)
+        at = {"start": 0, "middle": len(lines) // 2, "end": len(lines)}[where]
+        parsed = parse("".join(lines[:at] + [blank + "\n"] + lines[at:]))
+        assert parsed == expected
+        assert repr(parsed) == repr(expected)
+
+
+# Where a rule fault can go in each format's lines: the coordinate fields.
+_COORDINATE_FIELDS = {"detections": [1, 2], "tracks": [2, 3, 4, 5], "ground_truth": [2, 3]}
+
+
+@st.composite
+def text_with_one_rule_fault(draw, kind):
+    """A valid many-line file with one rule fault put on one line: the text and that line's number.
+
+    The fault is a coordinate beyond COORD_LIMIT or not finite, an id of 0,
+    an id an earlier line of the frame holds, a confidence outside [0, 1]
+    or frame 0.
+    """
+    lines = draw(many_line_text(kind)).split("\n")
+    i = draw(st.sampled_from([i for i, line in enumerate(lines) if line]))
+    fields = lines[i].split(",")
+    earlier_ids = [line.split(",")[1] for line in lines[:i] if line.split(",")[0] == fields[0]]
+    faults = ["far", "not finite", "frame 0"]
+    if kind != "detections":
+        faults += ["id 0"] + (["repeated id"] if earlier_ids else [])
+    elif len(fields) == 4:
+        faults.append("confidence")
+    fault = draw(st.sampled_from(faults))
+    if fault in ("far", "not finite"):
+        values = ["2e9", "-1e10", "1000000000.5"] if fault == "far" else ["nan", "inf", "-1e400"]
+        fields[draw(st.sampled_from(_COORDINATE_FIELDS[kind]))] = draw(st.sampled_from(values))
+    elif fault == "frame 0":
+        fields[0] = "0"
+    elif fault == "id 0":
+        fields[1] = "0"
+    elif fault == "repeated id":
+        fields[1] = draw(st.sampled_from(earlier_ids))
+    else:
+        fields[3] = draw(st.sampled_from(["1.5", "-0.1", "1.0000001", "nan"]))
+    lines[i] = ",".join(fields)
+    return "\n".join(lines), i + 1
+
+
+def library_check_message(kind, frame, prefix):
+    """str() of the UserError the library's check raises on one frame's records, as field lists."""
+    with pytest.raises(UserError) as info:
+        if kind == "detections":
+            check_detections(frame, [Detection(frame, *map(float, f[1:])) for f in prefix])
+        elif kind == "tracks":
+            records = [
+                TrackRecord(int(f[1]), *map(float, f[2:6]), TrackStatus(f[6]), RecordSource(f[7]))
+                for f in prefix
+            ]
+            check_records(frame, records)
+        else:
+            GroundTruth({frame: [(int(f[1]), float(f[2]), float(f[3])) for f in prefix]})
+    return str(info.value)
+
+
+class TestRuleFaults:
+    """The parsers test no rule themselves: a rule fault is the check's, located at its line."""
+
+    @pytest.mark.parametrize("kind, parse, reference", _PARSERS)
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_message_is_the_checks_on_the_lines_up_to_the_fault(
+        self, kind, parse, reference, data
+    ):
+        text, line_no = data.draw(text_with_one_rule_fault(kind), label="text, line")
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        rows = [line.split(",") for line in text.split("\n")[:line_no] if line]
+        frame = int(rows[-1][0])
+        prefix = [fields for fields in rows if int(fields[0]) == frame]
+        assert info.value.line == line_no
+        assert info.value.message == library_check_message(kind, frame, prefix)
+        assert_parses_like_reference(parse, reference, text)
 
 
 class TestConfig:
