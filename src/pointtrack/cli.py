@@ -4,11 +4,18 @@ Exit codes: 0 on success, 2 on any input problem (unreadable files,
 malformed lines, bad configuration), 3 when an internal invariant breaks.
 Output files are written to a unique temporary sibling and atomically
 renamed, so a failing run never leaves partial output behind.
+
+A command runs with the cyclic garbage collector paused: its records hold
+no reference cycles, so a collector pass would only re-scan them. However
+`main` ends, it turns the collector back on only if it was on at entry, so
+an in-process caller gets its setting back. If two in-process calls
+overlap, each restores only what it found, so the collector ends up on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import secrets
 import sys
@@ -179,8 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -192,6 +201,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import os
 import tempfile
 import time
@@ -11,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pointtrack import cli
 from pointtrack.cli import main
-from pointtrack.synth import ScenarioSpec
+from pointtrack.errors import InternalError
+from pointtrack.synth import ScenarioSpec, evaluate
 from pointtrack.tracker import TrackerConfig
 
 SCENARIO = """\
@@ -560,3 +563,123 @@ class TestInputContract:
                 name for _, _, names in os.walk(root) for name in names if name.endswith(".tmp")
             ]
             assert leftovers == []
+
+
+class TestCollectorPause:
+    """A command runs with the cyclic collector off and hands back the caller's setting.
+
+    Each test turns the collector back on in its own `finally`, so a failure
+    here cannot leave it off for the tests that follow.
+    """
+
+    def test_a_command_runs_with_the_collector_off(self, tmp_path, scenario_file, monkeypatch):
+        _, gt, tracks = run_pipeline(tmp_path, scenario_file)
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "evaluate", recording)
+        try:
+            gc.enable()
+            with contextlib.redirect_stdout(StringIO()):
+                assert main(["eval", tracks, gt]) == 0
+            assert seen == [False]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize(
+        "outcome", ["exit 0", "exit 2", "exit 3", "RuntimeError", "KeyboardInterrupt", "SystemExit"]
+    )
+    def test_every_way_out_restores_the_callers_setting(
+        self, tmp_path, scenario_file, monkeypatch, capsys, outcome, enabled
+    ):
+        _, gt, tracks = run_pipeline(tmp_path, scenario_file)
+        argv = ["eval", tracks, gt]
+        raised = {
+            "exit 3": InternalError("broken invariant"),
+            "RuntimeError": RuntimeError("unexpected"),
+            "KeyboardInterrupt": KeyboardInterrupt(),
+        }.get(outcome)
+        if raised is not None:
+
+            def raising(*args, **kwargs):
+                raise raised
+
+            monkeypatch.setattr(cli, "evaluate", raising)
+        if outcome == "exit 2":
+            argv = ["eval", str(tmp_path / "nope.csv"), gt]
+        if outcome == "SystemExit":
+            argv = ["eval"]  # argparse exits on the missing arguments
+        try:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            if outcome.startswith("exit"):
+                assert main(argv) == int(outcome[-1])
+            else:
+                with pytest.raises(SystemExit if raised is None else type(raised)):
+                    main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+
+
+# 40 targets over 200 frames, spread across the canvas, with misses and clutter.
+LARGE_SCENARIO = (
+    "n_frames = 200\n"
+    "targets = "
+    + " ; ".join(
+        f"1,200,{100 + 230 * (i % 8)},{100 + 380 * (i // 8)},{i % 5 - 2},{i % 3 - 1}"
+        for i in range(40)
+    )
+    + "\nnoise_sigma = 0.8\nmiss_prob = 0.05\nclutter_rate = 2\nbounds = 2000x2000\nseed = 11\n"
+)
+
+
+def left_to_collect(argv, code):
+    """What one command leaves for the cyclic collector; call with the collector paused."""
+    gc.collect()
+    with contextlib.redirect_stdout(StringIO()), contextlib.redirect_stderr(StringIO()):
+        assert main(argv) == code, argv
+    return gc.collect()
+
+
+def cyclic_garbage(root, scenario):
+    """What each command leaves for the cyclic collector on one scene.
+
+    The last entry is `track` on the scene's detections with a malformed
+    line appended, which exits 2 after the line-by-line read.
+    """
+    os.makedirs(root)
+    spec, dets, gt, tracks, bad = (
+        os.path.join(root, name)
+        for name in ("spec.cfg", "dets.csv", "gt.csv", "tracks.csv", "bad.csv")
+    )
+    with open(spec, "w") as handle:
+        handle.write(scenario)
+    counts = {
+        "synth": left_to_collect(["synth", spec, dets, gt], 0),
+        "track": left_to_collect(["track", dets, tracks], 0),
+        "eval": left_to_collect(["eval", tracks, gt], 0),
+        "render": left_to_collect(["render", tracks, os.path.join(root, "svg")], 0),
+    }
+    with open(dets) as source, open(bad, "w") as handle:
+        handle.write(source.read() + "7,not a number,1.0\n")
+    counts["track, malformed"] = left_to_collect(["track", bad, tracks], 2)
+    return counts
+
+
+def test_a_commands_cyclic_garbage_does_not_grow_with_its_input(tmp_path):
+    # With the collector paused, a reference cycle built per record would
+    # make memory grow with the input; what a command leaves must not.
+    try:
+        gc.disable()
+        small = cyclic_garbage(str(tmp_path / "small"), SCENARIO)
+        large = cyclic_garbage(str(tmp_path / "large"), LARGE_SCENARIO)
+    finally:
+        gc.enable()
+    assert small == large
